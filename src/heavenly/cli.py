@@ -295,6 +295,8 @@ def cmd_legendre(args) -> Dict:
         flip = [int(x) for x in args.flip.split(",")] if args.flip else []
     except ValueError:
         raise CommandError("--flip needs comma-separated indices") from None
+    if any(i < 1 or i > eq.n for i in flip):
+        raise CommandError(f"--flip indices must lie in 1..{eq.n}")
     moved = partial_legendre(eq, flip)
     return {
         "command": "legendre",

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import ProportionalityViolation, ZeroPullback
 from .grassmann import MAEquation, MinorBasis, decompose, minor_basis, uvar
 from .linalg import RatMatrix, rank_kernel, solve_linear
-from .poly import Polynomial, determinant
+from .poly import Polynomial, determinant, signed_sum
 
 Key = Tuple[int, ...]
 
@@ -106,8 +106,6 @@ class ExteriorForm:
         return self.terms.get((), Fraction(0))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         names = generator_names(self.n)
         pieces = []
         for key in sorted(self.terms):
@@ -115,11 +113,8 @@ class ExteriorForm:
             body = "^".join(names[i] for i in key) or str(abs(c))
             if key and abs(c) != 1:
                 body = f"{abs(c)} {body}"
-            pieces.append(("-" if c < 0 else "+", body))
-        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            pieces.append((c, body))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"ExteriorForm({self})"

@@ -394,15 +394,15 @@ _PATTERN_CLASS = {
 # and the reconstructed (t, t) equation indeed carries the 13-dimensional
 # stabilizer of the modified heavenly equation while (t^2, t) does not.
 _CASE_TABLE = {
-    frozenset({(5, "h"), (5, "h")}): 1,
-    frozenset({(5, "g"), (5, "g")}): 1,
+    frozenset({(5, "h")}): 1,
+    frozenset({(5, "g")}): 1,
     frozenset({(5, "h"), (5, "g")}): 1,
-    frozenset({(4, ""), (4, "")}): 2,
+    frozenset({(4, "")}): 2,
     frozenset({(4, ""), (3, "")}): 3,
-    frozenset({(3, ""), (3, "")}): 4,
-    frozenset({(2, ""), (2, "")}): 5,
+    frozenset({(3, "")}): 4,
+    frozenset({(2, "")}): 5,
     frozenset({(2, ""), (1, "")}): 6,
-    frozenset({(1, ""), (1, "")}): 7,
+    frozenset({(1, "")}): 7,
     frozenset({(5, "h"), (0, "")}): 8,
     frozenset({(2, ""), (0, "")}): 9,
     frozenset({(1, ""), (0, "")}): 10,
@@ -417,10 +417,6 @@ class Classification:
     pattern_q: Optional[Tuple[int, ...]]
     singular_dim: Optional[int] = None
     j_invariants: Optional[Tuple[Optional[Fraction], Optional[Fraction]]] = None
-
-    @property
-    def recognized(self) -> bool:
-        return self.case is not None
 
 
 def _quartic_class(q: BinaryQuartic):
@@ -445,8 +441,7 @@ def classify_quartic_pair(pair: QuarticPair) -> Classification:
     """Match the root-pattern pair against the ten-row case table."""
     cls_p, pat_p = _quartic_class(pair.p)
     cls_q, pat_q = _quartic_class(pair.q)
-    key = frozenset({cls_p, cls_q}) if cls_p != cls_q else frozenset({cls_p})
-    case = _CASE_TABLE.get(key)
+    case = _CASE_TABLE.get(frozenset({cls_p, cls_q}))
     singular_dim = None
     j_invs = None
     if case == 1:

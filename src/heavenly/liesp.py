@@ -1,8 +1,19 @@
 """The sp(2n) action on equations and symmetry-algebra computation.
 
-Generators act on the chart as vector fields: X translations, L linear
-flows U' = e_ij U + U e_ji, P quadratic flows U' = U S_ij U.  On the
-minor span the induced action is linear only after subtracting the
+sp(2n) is the algebra of Hamiltonian matrices M = [[A, B], [C, D]]
+(D = -A^T, B and C symmetric); M moves the Lagrangian chart U by the flow
+U' = C + DU - UA - UBU.  With S_ij = e_ij + e_ji (2 e_ii on the diagonal)
+the generators are
+
+    X_ij: C = e_ij + e_ji (a single 1 on the diagonal), translations;
+    L_ij: D = e_ij, A = -e_ji, linear flows U' = e_ij U + U e_ji;
+    P_ij: B = -S_ij, quadratic flows U' = U S_ij U.
+
+Sending a matrix to its chart vector field reverses brackets, so the
+structure constants of the vector fields are those of the negated
+commutator -[M_p, M_q].
+
+On the minor span the induced action is linear only after subtracting the
 projective cocycle phi (0 for X, -delta_ij for L_ij, -2 u_ij for P_ij):
 phi is the derivative of the Plucker normalizing factor det(A + BU), and
 g(m) + phi_g * m always decomposes in the span.  An equation F is
@@ -19,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NoSamplePoint
 from .grassmann import MAEquation, MinorBasis, chart_vars, decompose, minor_basis, ucoord, uvar
 from .linalg import RatMatrix, rank_kernel, row_space_basis, solve_linear
-from .poly import Polynomial
+from .poly import Polynomial, signed_sum
 
 
 @dataclass(frozen=True)
@@ -111,85 +122,62 @@ def action_matrices(n: int) -> Tuple[RatMatrix, ...]:
     return tuple(generator_action_matrix(g, basis) for g in sp_generators(n))
 
 
-def derivation_bracket(n: int, v: "SpGenerator", w: "SpGenerator"):
-    """Vector-field bracket on the chart: images [v,w](u_ab) for all a <= b."""
-    v_img = dict(v.derivation)
-    w_img = dict(w.derivation)
+def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
+    """Nonzero entries of the 2n x 2n matrix [[A, B], [C, D]] of a generator.
 
-    def act(images, poly):
-        out = Polynomial.zero()
-        for var, image in images.items():
-            part = poly.partial(var)
-            if not part.is_zero():
-                out = out + image * part
-        return out
-
-    out = {}
-    for var in chart_vars(n):
-        a = act(v_img, w_img.get(var, Polynomial.zero()))
-        b = act(w_img, v_img.get(var, Polynomial.zero()))
-        img = a - b
-        if not img.is_zero():
-            out[var] = img
+    The first entry lies in no other generator's support.
+    """
+    i, j = g.i - 1, g.j - 1
+    out: Dict[Tuple[int, int], int] = {}
+    if g.kind == "X":  # C = e_ij + e_ji, a single 1 on the diagonal
+        out[n + i, j] = out[n + j, i] = 1
+    elif g.kind == "L":  # D = e_ij, A = -e_ji
+        out[n + i, n + j] = 1
+        out[j, i] = -1
+    else:  # B = -S_ij, -2 on the diagonal
+        out[i, n + j] = out[j, n + i] = -1 if i != j else -2
     return out
 
 
-def _flatten_derivation(images: Dict[str, Polynomial]):
-    out = {}
-    for var, poly in images.items():
-        for mono, c in poly.terms.items():
-            out[(var, mono)] = c
-    return out
-
-
-@lru_cache(maxsize=None)
-def _derivation_frame(n: int):
-    """Pivot data to decompose a derivation over the sp generators."""
-    from .linalg import invert, rref
-
-    gens = sp_generators(n)
-    vecs = [_flatten_derivation(dict(g.derivation)) for g in gens]
-    keys = sorted({k for v in vecs for k in v})
-    index = {k: i for i, k in enumerate(keys)}
-    rows = [[v.get(k, Fraction(0)) for k in keys] for v in vecs]
-    pivots, _ = rref(rows)
-    assert len(pivots) == len(gens), "sp generator derivations are dependent"
-    pivot_keys = [keys[c] for c in pivots]
-    square = RatMatrix([[rows[i][c] for i in range(len(gens))] for c in pivots])
-    return gens, vecs, index, pivot_keys, invert(square)
-
-
-def _decompose_derivation(n: int, images: Dict[str, Polynomial]) -> List[Fraction]:
-    gens, vecs, index, pivot_keys, square_inv = _derivation_frame(n)
-    flat = _flatten_derivation(images)
-    target = [flat.get(k, Fraction(0)) for k in pivot_keys]
-    coords = square_inv.mat_vec(target)
-    # exact reconstruction check
-    recon: Dict = {}
-    for coeff, vec in zip(coords, vecs):
-        if coeff:
-            for k, c in vec.items():
-                recon[k] = recon.get(k, Fraction(0)) + coeff * c
-    recon = {k: c for k, c in recon.items() if c}
-    assert recon == flat, "derivation decomposition failed to reconstruct"
-    return coords
+def _commutator(m: Dict[Tuple[int, int], int],
+                w: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
+    """[M, W] = MW - WM of two sparse matrices."""
+    out: Dict[Tuple[int, int], int] = {}
+    for (a, b), x in m.items():
+        for (c, d), y in w.items():
+            if b == c:
+                out[a, d] = out.get((a, d), 0) + x * y
+            if d == a:
+                out[c, b] = out.get((c, b), 0) - y * x
+    return {k: v for k, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
 def sp_structure_constants(n: int):
-    """Sparse bracket table: table[p][q] = tuple of (index, coefficient)."""
+    """Sparse bracket table: table[p][q] = tuple of (index, coefficient).
+
+    The bracket is the negated commutator -[M_p, M_q] = [M_q, M_p]; the
+    coordinate of generator r is read off the first entry of M_r, and the
+    combination must rebuild the commutator exactly.
+    """
     gens = sp_generators(n)
-    dim = len(gens)
+    mats = [_hamiltonian_matrix(n, g) for g in gens]
+    firsts = [next(iter(m.items())) for m in mats]
     table = []
-    for p in range(dim):
+    for p, mp in enumerate(mats):
         row = []
-        for q in range(dim):
-            if p == q:
-                row.append(())
-                continue
-            bracket = derivation_bracket(n, gens[p], gens[q])
-            coords = _decompose_derivation(n, bracket)
-            row.append(tuple((r, c) for r, c in enumerate(coords) if c))
+        for q, mq in enumerate(mats):
+            bracket = _commutator(mq, mp)
+            coords = tuple((r, Fraction(bracket[key], val))
+                           for r, (key, val) in enumerate(firsts) if key in bracket)
+            rebuilt: Dict[Tuple[int, int], Fraction] = {}
+            for r, c in coords:
+                for key, val in mats[r].items():
+                    rebuilt[key] = rebuilt.get(key, 0) + c * val
+            if {k: v for k, v in rebuilt.items() if v} != bracket:
+                raise RuntimeError(f"[{gens[p].label}, {gens[q].label}] is not a "
+                                   "combination of the sp(2n) generator matrices")
+            row.append(coords)
         table.append(tuple(row))
     return tuple(table)
 
@@ -249,23 +237,8 @@ class LieSubalgebra:
 def format_sp_vector(n: int, vector: Sequence[Fraction]) -> str:
     """Human-readable combination of X/L/P generators, e.g. 'L12 - L43'."""
     labels = [g.label for g in sp_generators(n)]
-    pieces = []
-    for c, label in zip(vector, labels):
-        if not c:
-            continue
-        if c == 1:
-            body = label
-        elif c == -1:
-            body = label
-        else:
-            body = f"{abs(c)} {label}"
-        pieces.append(("-" if c < 0 else "+", body))
-    if not pieces:
-        return "0"
-    out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-    for sign, body in pieces[1:]:
-        out += f" {sign} {body}"
-    return out
+    return signed_sum((c, label if abs(c) == 1 else f"{abs(c)} {label}")
+                      for c, label in zip(vector, labels) if c)
 
 
 def invariance_eigenvalue(eq: MAEquation, vector: Sequence[Fraction]) -> Optional[Fraction]:

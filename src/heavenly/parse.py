@@ -200,8 +200,3 @@ def parse_lax_field(text: str, n: int):
         k = int(dvars[0][0][1])
         components[k - 1] = components[k - 1] + Polynomial({rest: coeff})
     return LaxField(tuple(components))
-
-
-def polynomial_to_text(poly: Polynomial) -> str:
-    """Round-trippable rendering of an equation polynomial."""
-    return str(poly)

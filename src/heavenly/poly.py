@@ -166,9 +166,6 @@ class Polynomial:
         lc = self.lead_coeff()
         return self if lc == 1 else self / lc
 
-    def homogeneous_part(self, d: int) -> "Polynomial":
-        return Polynomial({m: c for m, c in self.terms.items() if mono_degree(m) == d})
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -306,8 +303,6 @@ class Polynomial:
     # -- formatting --------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         pieces = []
         for mono, c in self.sorted_terms():
             factors = "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
@@ -317,16 +312,25 @@ class Polynomial:
                 body = factors
             else:
                 body = f"{abs(c)}*{factors}"
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+            pieces.append((c, body))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def signed_sum(pieces) -> str:
+    """Join (coefficient, body) pairs as 'a - b + c'; "0" when there are none.
+
+    Only the sign of each coefficient is used: the bodies carry the magnitudes.
+    """
+    out = ""
+    for c, body in pieces:
+        if out:
+            out += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 def _raw(terms: Dict[Monomial, Fraction]) -> Polynomial:

@@ -19,6 +19,7 @@ from math import comb
 from typing import List, Tuple
 
 from .errors import ZeroPolynomial
+from .poly import signed_sum
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,6 @@ class BinaryQuartic:
         return -1
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
         pieces = []
         for d in range(4, -1, -1):
             c = self.coeffs()[d]
@@ -63,11 +62,8 @@ class BinaryQuartic:
             else:
                 t = "t" if d == 1 else f"t^{d}"
                 body = t if abs(c) == 1 else f"{abs(c)}*{t}"
-            pieces.append(("-" if c < 0 else "+", body))
-        out = ("-" if pieces[0][0] == "-" else "") + pieces[0][1]
-        for s, b in pieces[1:]:
-            out += f" {s} {b}"
-        return out
+            pieces.append((c, body))
+        return signed_sum(pieces)
 
 
 def _trim(cs: List[Fraction]) -> List[Fraction]:

@@ -115,6 +115,12 @@ def test_legendre_command(capsys):
     assert "u11*u22*u33" in json.loads(out)["result"]
 
 
+def test_legendre_flip_out_of_range(capsys):
+    code, out, err = run(capsys, "legendre", "--builtin", "husain", "--flip", "7")
+    assert code == 2
+    assert out == "" and "1..4" in err and "Traceback" not in err
+
+
 def test_singular_command(capsys):
     code, out, _ = run(capsys, "singular",
                        "--expr", "u11*u22 - u12^2 - u33*u44 + u34^2", "--json")

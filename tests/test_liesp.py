@@ -1,6 +1,7 @@
 """sp(2n) action, symmetry algebras, reductivity, non-degeneracy."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -14,13 +15,20 @@ from tables import (
 
 from heavenly import catalog
 from heavenly.errors import NoSamplePoint
-from heavenly.grassmann import MAEquation, decompose, minor_basis, partial_legendre, translate, uvar
+from heavenly.grassmann import (
+    MAEquation,
+    chart_vars,
+    decompose,
+    minor_basis,
+    partial_legendre,
+    translate,
+    uvar,
+)
 from heavenly.linalg import in_row_space
 from heavenly.liesp import (
     LieSubalgebra,
     action_matrices,
     center,
-    derivation_bracket,
     invariance_eigenvalue,
     is_reductive,
     nondegenerate,
@@ -29,7 +37,6 @@ from heavenly.liesp import (
     sp_generators,
     sp_structure_constants,
     symmetry_algebra,
-    _decompose_derivation,
 )
 from heavenly.poly import Polynomial
 
@@ -108,31 +115,30 @@ def test_action_matrices_close_under_bracket():
 
 
 def test_structure_constants_antisymmetry_and_jacobi():
-    n = 2
-    gens = sp_generators(n)
-    table = sp_structure_constants(n)
-    dim = len(gens)
+    for n in (2, 3, 4):
+        table = sp_structure_constants(n)
+        dim = len(table)
 
-    def bracket_vec(p, q):
-        v = [Fraction(0)] * dim
-        for r, c in table[p][q]:
-            v[r] += c
-        return v
+        def bracket_vec(p, q):
+            v = [Fraction(0)] * dim
+            for r, c in table[p][q]:
+                v[r] += c
+            return v
 
-    rng = Random(8)
-    for _ in range(10):
-        p, q, r = (rng.randrange(dim) for _ in range(3))
-        assert bracket_vec(p, q) == [-x for x in bracket_vec(q, p)]
-        # jacobi: [[p,q],r] + [[q,r],p] + [[r,p],q] = 0
-        total = [Fraction(0)] * dim
-        for a, b in ((p, q), (q, r), (r, p)):
-            inner = bracket_vec(a, b)
-            third = {(p, q): r, (q, r): p, (r, p): q}[(a, b)]
-            for s, coeff in enumerate(inner):
-                if coeff:
-                    for t, c2 in table[s][third]:
-                        total[t] += coeff * c2
-        assert all(x == 0 for x in total)
+        rng = Random(8)
+        for _ in range(10):
+            p, q, r = (rng.randrange(dim) for _ in range(3))
+            assert bracket_vec(p, q) == [-x for x in bracket_vec(q, p)]
+            # jacobi: [[p,q],r] + [[q,r],p] + [[r,p],q] = 0
+            total = [Fraction(0)] * dim
+            for a, b in ((p, q), (q, r), (r, p)):
+                inner = bracket_vec(a, b)
+                third = {(p, q): r, (q, r): p, (r, p): q}[(a, b)]
+                for s, coeff in enumerate(inner):
+                    if coeff:
+                        for t, c2 in table[s][third]:
+                            total[t] += coeff * c2
+            assert all(x == 0 for x in total)
 
 
 @pytest.mark.parametrize("name", list(EXPECTED_SYMMETRY_DIMS))
@@ -247,14 +253,15 @@ def test_theorem2_consistency_3d():
 
 
 def test_structure_bracket_matches_derivations():
-    # derivation bracket agrees with the sparse table on sample pairs
-    n = 3
-    gens = sp_generators(n)
-    table = sp_structure_constants(n)
-    rng = Random(15)
-    for _ in range(8):
-        p, q = rng.randrange(len(gens)), rng.randrange(len(gens))
-        images = derivation_bracket(n, gens[p], gens[q])
-        coords = _decompose_derivation(n, images)
-        sparse = {r: c for r, c in table[p][q]}
-        assert {r: c for r, c in enumerate(coords) if c} == sparse
+    # the table is the chart vector-field bracket V_p V_q - V_q V_p, on every pair
+    zero = Polynomial.zero()
+    for n in (2, 3):
+        gens = sp_generators(n)
+        images = [dict(g.derivation) for g in gens]
+        table = sp_structure_constants(n)
+        for p, q in product(range(len(gens)), repeat=2):
+            for var in chart_vars(n):
+                lhs = (gens[p].apply(images[q].get(var, zero))
+                       - gens[q].apply(images[p].get(var, zero)))
+                rhs = sum((c * images[r].get(var, zero) for r, c in table[p][q]), zero)
+                assert lhs == rhs, (gens[p].label, gens[q].label, var)

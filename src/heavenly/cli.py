@@ -76,9 +76,19 @@ def _add_source_options(sub, with_n=True):
                          help="dimension for --expr input")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_options(sub):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=int, default=None)
+    sub.add_argument("--trials", type=_positive_int, default=None)
     sub.add_argument("--json", action="store_true", dest="as_json")
     sub.add_argument("--timing", action="store_true")
 
@@ -165,7 +175,7 @@ def cmd_classify(args) -> Dict:
         }
     if eq.n != 4:
         raise CommandError("classify works on dimensions 3 and 4")
-    trials = args.trials or DEFAULT_TRIALS
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
     name, fp = identify_equation(eq, seed=args.seed)
     report = integrable_4d(eq, trials=trials, seed=args.seed)
     out = {
@@ -247,7 +257,7 @@ def cmd_lax_check(args) -> Dict:
         x2 = parse_lax_field(args.x2, eq.n)
         default_mode = "strict"
     mode = args.mode or default_mode
-    trials = args.trials or DEFAULT_LAX_TRIALS
+    trials = DEFAULT_LAX_TRIALS if args.trials is None else args.trials
     result = verify_lax(x1, x2, eq, mode, trials=trials, seed=args.seed)
     return {
         "command": "lax-check",
@@ -297,6 +307,8 @@ def cmd_legendre(args) -> Dict:
         raise CommandError("--flip needs comma-separated indices") from None
     if any(i < 1 or i > eq.n for i in flip):
         raise CommandError(f"--flip indices must lie in 1..{eq.n}")
+    if len(set(flip)) != len(flip):
+        raise CommandError("--flip indices must be distinct")
     moved = partial_legendre(eq, flip)
     return {
         "command": "legendre",

@@ -57,6 +57,10 @@ class JetOrderError(HeavenlyError):
     pass
 
 
+class InvariantViolation(HeavenlyError):
+    """An exact identity the computation relies on failed to hold."""
+
+
 class ParseError(HeavenlyError):
     def __init__(self, message, position):
         self.position = position

@@ -20,7 +20,8 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import DegenerateChart, NotInSpan, NotPurelyQuadratic, UnsupportedDimension
+from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
+                     UnsupportedDimension)
 from .linalg import RatMatrix, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
 
@@ -325,7 +326,8 @@ def _basis_over_minors(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
         for m, c in b.terms.items():
             target[index[m]] = c
         sol = solve_linear(coeff_matrix, target)
-        assert sol is not None, "canonical basis element escaped the minor set"
+        if sol is None:
+            raise InvariantViolation("canonical basis element escaped the minor set")
         out.append(tuple(sol[0]))
     return tuple(out)
 

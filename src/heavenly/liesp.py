@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NoSamplePoint
+from .errors import InvariantViolation, NoSamplePoint
 from .grassmann import MAEquation, MinorBasis, chart_vars, decompose, minor_basis, ucoord, uvar
-from .linalg import RatMatrix, rank_kernel, row_space_basis, solve_linear
+from .linalg import RatMatrix, rank_kernel, row_space_basis, rref
 from .poly import Polynomial, signed_sum
 
 
@@ -287,38 +287,50 @@ def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
 
 
 def _subalgebra_structure(alg: LieSubalgebra):
-    dim = alg.dim
+    """Coordinates of every bracket of basis elements over the basis.
+
+    One echelon form of [basis | I] gives reduced rows R_i = sum_k T_ik B_k,
+    so a bracket w in the span has coordinates sum_i w[pivot_i] T_i; the
+    combination is rebuilt and compared with w, which is the closure check.
+    """
+    dim, g = alg.dim, alg.ambient_dim
     if dim == 0:
         return ()
-    rows = [list(v) for v in alg.basis]
-    mt = RatMatrix(rows).transpose()
+    pivots, reduced = rref([list(v) + [Fraction(int(i == k)) for k in range(dim)]
+                            for i, v in enumerate(alg.basis)])
+    transform = [(c, [(k, x) for k, x in enumerate(row[g:]) if x])
+                 for c, row in zip(pivots, reduced) if c < g]
+    support = [[(p, x) for p, x in enumerate(v) if x] for v in alg.basis]
     table = []
     for a in range(dim):
         row = []
         for b in range(dim):
             br = alg.bracket_sp(alg.basis[a], alg.basis[b])
-            sol = solve_linear(mt, br)
-            assert sol is not None, "stabilizer is not closed under bracket"
-            row.append(tuple(sol[0]))
+            coords = [Fraction(0)] * dim
+            for c, t in transform:
+                if br[c]:
+                    for k, x in t:
+                        coords[k] += br[c] * x
+            rebuilt = [Fraction(0)] * g
+            for k, ck in enumerate(coords):
+                if ck:
+                    for p, x in support[k]:
+                        rebuilt[p] += ck * x
+            if rebuilt != br:
+                raise InvariantViolation("stabilizer is not closed under bracket")
+            row.append(tuple(coords))
         table.append(tuple(row))
     return tuple(table)
 
 
-def adjoint_matrix(alg: LieSubalgebra, index: int) -> RatMatrix:
-    dim = alg.dim
-    return RatMatrix([[alg.structure_constants[index][j][k] for j in range(dim)]
-                      for k in range(dim)])
-
-
 def killing_form(alg: LieSubalgebra) -> RatMatrix:
+    """K(a, b) = tr(ad_a ad_b) = sum over j, k of c[a][j][k] * c[b][k][j]."""
     dim = alg.dim
-    ads = [adjoint_matrix(alg, i) for i in range(dim)]
-    return RatMatrix([[_trace(ads[i].mat_mul(ads[j])) for j in range(dim)]
-                      for i in range(dim)])
-
-
-def _trace(m: RatMatrix) -> Fraction:
-    return sum((m.entries[i][i] for i in range(m.rows)), Fraction(0))
+    c = alg.structure_constants
+    nonzero = [[(j, k, x) for j in range(dim) for k, x in enumerate(c[a][j]) if x]
+               for a in range(dim)]
+    return RatMatrix([[sum((x * c[b][k][j] for j, k, x in nonzero[a]), Fraction(0))
+                       for b in range(dim)] for a in range(dim)])
 
 
 def derived_subalgebra(alg: LieSubalgebra) -> List[List[Fraction]]:

@@ -1,5 +1,10 @@
 """Exact rational linear algebra.
 
+`RatMatrix` keeps its Fraction entries together with the sparse nonzero
+`(column, value)` pairs of each row, built once at construction (entries
+are never mutated afterwards), so matrix-vector products touch only the
+nonzeros: the sp(2n) action matrices are about 1% nonzero at n = 4.
+
 The elimination core is fraction-free (Bareiss) on denominator-cleared
 integer rows, which keeps intermediate entries as single big integers
 instead of fractions; results are converted back to Fractions and fully
@@ -17,7 +22,7 @@ Vector = List[Fraction]
 
 
 class RatMatrix:
-    """Dense matrix of Fractions."""
+    """Matrix of Fractions with the nonzero (column, value) pairs of each row."""
 
     def __init__(self, entries: Sequence[Sequence]):
         self.entries = [[Fraction(x) for x in row] for row in entries]
@@ -26,6 +31,7 @@ class RatMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
+        self.nonzero_rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.entries]
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -42,8 +48,10 @@ class RatMatrix:
         return [row[j] for row in self.entries]
 
     def mat_vec(self, v: Sequence) -> Vector:
-        return [sum((row[j] * Fraction(v[j]) for j in range(self.cols)), Fraction(0))
-                for row in self.entries]
+        if len(v) != self.cols:
+            raise ValueError("shape mismatch")
+        v = [Fraction(x) for x in v]
+        return [sum((x * v[j] for j, x in row), Fraction(0)) for row in self.nonzero_rows]
 
     def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -135,17 +143,25 @@ def rank_kernel(m: RatMatrix) -> Tuple[int, List[Vector]]:
     if m.rows == 0:
         return 0, [[Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)]
     pivots, reduced = rref(m.entries)
-    rank = len(pivots)
+    return len(pivots), _kernel(pivots, reduced, m.cols)
+
+
+def _kernel(pivots: List[int], reduced: List[Vector], cols: int) -> List[Vector]:
+    """Kernel basis of the first `cols` columns of a reduced echelon form.
+
+    All pivots must lie among those columns; there is one basis vector per
+    free column, with a 1 there.
+    """
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(cols) if c not in pivot_set]
     basis: List[Vector] = []
     for f in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for i, c in enumerate(pivots):
             v[c] = -reduced[i][f]
         basis.append(v)
-    return rank, basis
+    return basis
 
 
 def solve_linear(m: RatMatrix, b: Sequence) -> Optional[Tuple[Vector, List[Vector]]]:
@@ -153,7 +169,9 @@ def solve_linear(m: RatMatrix, b: Sequence) -> Optional[Tuple[Vector, List[Vecto
 
     Returns (particular solution, kernel basis), or None when the system
     is inconsistent.  Free variables are set to zero in the particular
-    solution, which makes it canonical.
+    solution, which makes it canonical.  One elimination of [m | b] serves
+    both: when the system is consistent, its reduced rows restricted to m's
+    columns are the reduced form of m, which gives the kernel.
     """
     bvec = [Fraction(x) for x in b]
     if len(bvec) != m.rows:
@@ -167,8 +185,7 @@ def solve_linear(m: RatMatrix, b: Sequence) -> Optional[Tuple[Vector, List[Vecto
     particular = [Fraction(0)] * m.cols
     for i, c in enumerate(pivots):
         particular[c] = reduced[i][m.cols]
-    _, kernel = rank_kernel(m)
-    return particular, kernel
+    return particular, _kernel(pivots, reduced, m.cols)
 
 
 def invert(m: RatMatrix) -> RatMatrix:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from heavenly.cli import main
 
 
@@ -119,6 +121,26 @@ def test_legendre_flip_out_of_range(capsys):
     code, out, err = run(capsys, "legendre", "--builtin", "husain", "--flip", "7")
     assert code == 2
     assert out == "" and "1..4" in err and "Traceback" not in err
+
+
+def test_legendre_flip_repeated_index(capsys):
+    code, out, err = run(capsys, "legendre", "--builtin", "husain", "--flip", "1,1")
+    assert code == 2
+    assert out == "" and "distinct" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--builtin", "hess", "--trials", "0"),
+    ("classify", "--builtin", "hess", "--trials", "-1"),
+    ("lax-check", "--builtin-pair", "husain", "--trials", "0"),
+])
+def test_trials_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert captured.out == "" and "--trials" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_singular_command(capsys):

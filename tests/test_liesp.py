@@ -14,7 +14,7 @@ from tables import (
 )
 
 from heavenly import catalog
-from heavenly.errors import NoSamplePoint
+from heavenly.errors import InvariantViolation, NoSamplePoint
 from heavenly.grassmann import (
     MAEquation,
     chart_vars,
@@ -31,6 +31,7 @@ from heavenly.liesp import (
     center,
     invariance_eigenvalue,
     is_reductive,
+    killing_form,
     nondegenerate,
     radical,
     sample_zero_point,
@@ -176,6 +177,25 @@ def test_symmetry_algebra_bracket_closed():
         for b in range(a + 1, alg.dim):
             br = alg.bracket_sp(alg.basis[a], alg.basis[b])
             assert in_row_space(rows, br) is not None
+
+
+def test_structure_constants_reject_non_closed_span():
+    # [X11, P11] is a multiple of L11, which is outside span{X11, P11}
+    alg = LieSubalgebra(2, [vector_from_terms(2, [(1, "X11")]),
+                            vector_from_terms(2, [(1, "P11")])])
+    with pytest.raises(InvariantViolation):
+        alg.structure_constants
+
+
+@pytest.mark.parametrize("name", ["husain", "general-heavenly", "first-heavenly", "laplace"])
+def test_killing_form_matches_adjoint_trace(name):
+    alg = symmetry_algebra(catalog.builtin_equation(name))
+    c, dim = alg.structure_constants, alg.dim
+    # ad_a has column j equal to the coordinates of [e_a, e_j]
+    ads = [[[c[a][j][k] for j in range(dim)] for k in range(dim)] for a in range(dim)]
+    expected = [[sum((ads[a][k][j] * ads[b][j][k] for j in range(dim) for k in range(dim)),
+                     Fraction(0)) for b in range(dim)] for a in range(dim)]
+    assert killing_form(alg).entries == expected
 
 
 def test_symmetry_dim_invariant_under_transforms():

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from heavenly.linalg import RatMatrix, rank_kernel, solve_linear, row_space_basis, in_row_space
 
 
@@ -112,3 +114,62 @@ def test_row_space_membership():
     coords = in_row_space(rows, [Fraction(1), Fraction(3), Fraction(1)])
     assert coords is not None
     assert in_row_space(rows, [Fraction(0), Fraction(0), Fraction(1)]) is None
+
+
+def _random_sparse_matrix(rng, rows, cols):
+    """At least half of the entries are zero."""
+    entries = [[Fraction(0)] * cols for _ in range(rows)]
+    cells = [(i, j) for i in range(rows) for j in range(cols)]
+    for i, j in rng.sample(cells, len(cells) // 2):
+        entries[i][j] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return entries
+
+
+def test_mat_vec_matches_dense_sum():
+    rng = Random(31)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        entries = _random_sparse_matrix(rng, rows, cols)
+        m = RatMatrix(entries)
+        for v in ([rng.randint(-5, 5) for _ in range(cols)],
+                  [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]):
+            expected = [sum((Fraction(row[j]) * Fraction(v[j]) for j in range(cols)),
+                            Fraction(0)) for row in entries]
+            assert m.mat_vec(v) == expected
+
+
+def test_solve_linear_kernel_equals_rank_kernel():
+    rng = Random(37)
+    for _ in range(30):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = RatMatrix(_random_sparse_matrix(rng, rows, cols))
+        b = m.mat_vec([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)])
+        particular, kernel = solve_linear(m, b)
+        assert m.mat_vec(particular) == b
+        assert kernel == rank_kernel(m)[1]
+
+
+def test_rank_kernel_and_solve_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(41)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = _random_sparse_matrix(rng, rows, cols)
+        m = RatMatrix(entries)
+        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                           for row in entries])
+        rank, kernel = rank_kernel(m)
+        assert rank == sm.rank()
+        # both are reduced-echelon kernels with a 1 in each free column
+        oracle = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in sm.nullspace()]
+        assert kernel == oracle
+        b = m.mat_vec([Fraction(rng.randint(-4, 4)) for _ in range(cols)])
+        particular, sol_kernel = solve_linear(m, b)
+        assert sol_kernel == oracle
+        sb = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in b])
+        assert sm * sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
+                                  for x in particular]) == sb
+        other = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
+        so = sympy.Matrix([int(x) for x in other])
+        consistent = sm.row_join(so).rank() == sm.rank()
+        assert (solve_linear(m, other) is not None) == consistent

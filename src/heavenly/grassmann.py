@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
                      UnsupportedDimension)
-from .linalg import RatMatrix, rank_kernel, rref
+from .linalg import RatMatrix, invert, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
 
 MIN_DIM, MAX_DIM = 2, 4
@@ -108,7 +108,8 @@ def minor_basis(n: int) -> MinorBasis:
         dims.append(len(echelon))
         basis.extend(echelon)
     expected = comb(2 * n, n) - comb(2 * n, n + 2)
-    assert len(basis) == expected, "minor span dimension mismatch"
+    if len(basis) != expected:
+        raise InvariantViolation(f"minor span dimension mismatch: {len(basis)} != {expected}")
     pivots = {p.lead_monomial(): k for k, p in enumerate(basis)}
     return MinorBasis(n, tuple(basis), tuple(dims), pivots)
 
@@ -259,18 +260,10 @@ def legendre_chart_matrix(matrix: Sequence[Sequence[Fraction]], flip: Sequence[i
     n = len(matrix)
     s = sorted(set(flip))
     t = [i for i in range(1, n + 1) if i not in s]
-    a = [[Fraction(matrix[i - 1][j - 1]) for j in s] for i in s]
-    det_a = determinant(a)
-    if det_a == 0:
+    try:
+        ainv = invert(RatMatrix([[matrix[i - 1][j - 1] for j in s] for i in s])).entries
+    except ValueError:  # the flipped block is singular
         return None
-    k = len(s)
-    adj = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            sub = [[a[p][q] for q in range(k) if q != j] for p in range(k) if p != i]
-            c = determinant(sub) if sub else Fraction(1)
-            adj[j][i] = -c if (i + j) % 2 else c
-    ainv = [[adj[i][j] / det_a for j in range(k)] for i in range(k)]
     out = [[Fraction(0)] * n for _ in range(n)]
     pos = {idx: p for p, idx in enumerate(s)}
     for ii in s:
@@ -383,12 +376,13 @@ def _legendre_signed_relabel(n: int, s: frozenset):
             lhs = polys[k].evaluate(img_assignment) * det_s
             rhs = polys[j].evaluate(assignment)
             sign = lhs / rhs
-            assert sign in (1, -1), f"legendre relabeling failed for {pair} -> {new_pair}"
+            if sign not in (1, -1):
+                raise InvariantViolation(f"legendre relabeling failed for {pair} -> {new_pair}")
             current.append((j, int(sign)))
         if results is None:
             results = current
-        else:
-            assert results == current, "legendre signs disagree between samples"
+        elif results != current:
+            raise InvariantViolation("legendre signs disagree between samples")
     return tuple(results)
 
 
@@ -444,7 +438,8 @@ def quadratic_form_matrix(eq: MAEquation) -> RatMatrix:
     for mono, c in eq.poly.terms.items():
         if len(mono) == 1:
             v, e = mono[0]
-            assert e == 2
+            if e != 2:
+                raise InvariantViolation(f"{v}^{e} in a purely quadratic equation")
             h[idx[v]][idx[v]] = c
         else:
             (v1, _), (v2, _) = mono

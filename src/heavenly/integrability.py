@@ -71,28 +71,37 @@ class ReductionSample:
         return cls.from_values(k, q)
 
 
-def travelling_wave_reduce(eq: MAEquation, sample: ReductionSample) -> MAEquation:
-    """Reduce along u = w(x1 + a x4, x2 + b x4, x3 + c x4) + Q(x, x)."""
+def travelling_wave_reduce(eq: MAEquation, sample: ReductionSample,
+                           perm: Sequence[int] = (1, 2, 3, 4)) -> MAEquation:
+    """Reduce along u = w(x1 + a x4, x2 + b x4, x3 + c x4) + Q(x, x).
+
+    `perm` (1-based images) relabels the chart indices first, as
+    `permute_equation` does: u_ab goes to the reduction's image of
+    u_{perm(a) perm(b)}, so the relabelling and the reduction are one
+    substitution.
+    """
     if eq.n != 4:
         raise ValueError("travelling-wave reduction starts from n = 4")
     k = sample.k
     q = sample.q
-    mapping: Dict[str, Polynomial] = {}
+    image: Dict[str, Polynomial] = {}
     for a in range(1, 4):
         for b in range(a, 4):
-            mapping[ucoord(a, b)] = uvar(a, b) + 2 * q[a - 1][b - 1]
+            image[ucoord(a, b)] = uvar(a, b) + 2 * q[a - 1][b - 1]
     for a in range(1, 4):
         img = Polynomial.constant(2 * q[a - 1][3])
         for b in range(1, 4):
             if k[b - 1]:
                 img = img + k[b - 1] * uvar(a, b)
-        mapping[ucoord(a, 4)] = img
+        image[ucoord(a, 4)] = img
     img44 = Polynomial.constant(2 * q[3][3])
     for a in range(1, 4):
         for b in range(1, 4):
             if k[a - 1] and k[b - 1]:
                 img44 = img44 + k[a - 1] * k[b - 1] * uvar(a, b)
-    mapping[ucoord(4, 4)] = img44
+    image[ucoord(4, 4)] = img44
+    mapping = {ucoord(a, b): image[ucoord(perm[a - 1], perm[b - 1])]
+               for a in range(1, 5) for b in range(a, 5)}
     reduced = eq.poly.subs(mapping)
     if reduced.is_zero():
         raise ZeroReduction("reduction vanished identically in this direction")
@@ -245,7 +254,7 @@ def integrable_4d(eq: MAEquation, trials: int = 50, seed: int = 0) -> Integrabil
         sample = ReductionSample.random(rng)
         perm = perms[rng.randrange(len(perms))]
         try:
-            reduced = travelling_wave_reduce(permute_equation(eq, perm), sample)
+            reduced = travelling_wave_reduce(eq, sample, perm)
         except ZeroReduction:
             report.degenerate_skipped += 1
             continue

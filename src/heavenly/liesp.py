@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
 from .grassmann import MAEquation, MinorBasis, chart_vars, decompose, minor_basis, ucoord, uvar
-from .linalg import RatMatrix, rank_kernel, row_space_basis, rref
+from .linalg import RatMatrix, clear_row, rank_kernel, row_space_basis, rref
 from .poly import Polynomial, signed_sum
 
 
@@ -100,7 +100,9 @@ def sp_generators(n: int) -> Tuple[SpGenerator, ...]:
             gens.append(SpGenerator(f"P{i}{j}", "P", i, j,
                                     _derivation_from_flow(n, flow),
                                     -2 * uvar(i, j)))
-    assert len(gens) == n * (2 * n + 1)
+    if len(gens) != n * (2 * n + 1):
+        raise InvariantViolation(f"sp({2 * n}) needs {n * (2 * n + 1)} generators, "
+                                 f"built {len(gens)}")
     return tuple(gens)
 
 
@@ -185,7 +187,8 @@ def sp_structure_constants(n: int):
 class LieSubalgebra:
     """A subalgebra of sp(2n) given by coefficient vectors over the generators.
 
-    Structure constants over the stored basis are computed on first use.
+    Structure constants over the stored basis, the center and the derived
+    subalgebra are computed on first use.
     """
 
     def __init__(self, n: int, basis, structure_constants=None, eigenvalues=()):
@@ -193,12 +196,28 @@ class LieSubalgebra:
         self.basis = tuple(tuple(Fraction(x) for x in v) for v in basis)
         self.eigenvalues = tuple(eigenvalues)
         self._structure = structure_constants
+        self._center = None
+        self._derived = None
 
     @property
     def structure_constants(self):
         if self._structure is None:
             self._structure = _subalgebra_structure(self)
         return self._structure
+
+    @property
+    def center_basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """`center(self)`, computed once."""
+        if self._center is None:
+            self._center = tuple(tuple(v) for v in center(self))
+        return self._center
+
+    @property
+    def derived_basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """`derived_subalgebra(self)`, computed once."""
+        if self._derived is None:
+            self._derived = tuple(tuple(v) for v in derived_subalgebra(self))
+        return self._derived
 
     @property
     def dim(self) -> int:
@@ -228,8 +247,8 @@ class LieSubalgebra:
         return {
             "dimension": self.dim,
             "generators": [format_sp_vector(self.n, v) for v in self.basis],
-            "center-dimension": len(center(self)),
-            "derived-dimension": len(derived_subalgebra(self)),
+            "center-dimension": len(self.center_basis),
+            "derived-dimension": len(self.derived_basis),
             "reductive": is_reductive(self),
         }
 
@@ -268,10 +287,12 @@ def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
 
     Solves {(v, mu) : sum_g v_g A_g c = mu c} exactly and returns the
     projection to v with structure constants over the returned basis.
+    Scaling c by a nonzero constant scales the whole system, so c is taken
+    as coprime integers: the kernel, mu included, does not change.
     """
     n = eq.n
     mats = action_matrices(n)
-    c = list(eq.coords)
+    c = clear_row(eq.coords)
     g = len(mats)
     rows = [[Fraction(0)] * (g + 1) for _ in range(len(c))]
     for k, m in enumerate(mats):
@@ -358,7 +379,7 @@ def center(alg: LieSubalgebra) -> List[List[Fraction]]:
 
 def radical(alg: LieSubalgebra) -> List[List[Fraction]]:
     """Solvable radical = Killing-orthogonal complement of [g, g]."""
-    derived = derived_subalgebra(alg)
+    derived = alg.derived_basis
     if not derived:
         return [list(v) for v in RatMatrix.identity(alg.dim).entries] if alg.dim else []
     k = killing_form(alg)
@@ -369,7 +390,7 @@ def radical(alg: LieSubalgebra) -> List[List[Fraction]]:
 
 def is_reductive(alg: LieSubalgebra) -> bool:
     """True iff the solvable radical equals the center."""
-    return len(radical(alg)) == len(center(alg))
+    return len(radical(alg)) == len(alg.center_basis)
 
 
 # -- non-degeneracy --------------------------------------------------------

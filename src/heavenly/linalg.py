@@ -1,20 +1,24 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra with integer kernels.
 
-`RatMatrix` keeps its Fraction entries together with the sparse nonzero
-`(column, value)` pairs of each row, built once at construction (entries
-are never mutated afterwards), so matrix-vector products touch only the
-nonzeros: the sp(2n) action matrices are about 1% nonzero at n = 4.
+Values are Fractions at the interface and Python ints inside the kernels.
+`RatMatrix` keeps, next to its Fraction entries, each row as the integer
+numerators of its nonzero entries over one row denominator, built on first
+use (entries are never mutated afterwards).  A matrix-vector product
+clears the vector to integers over one common denominator, sums
+integer products over the nonzeros only (the sp(2n) action matrices are
+about 1% nonzero at n = 4) and builds one Fraction per output entry.
 
-The elimination core is fraction-free (Bareiss) on denominator-cleared
-integer rows, which keeps intermediate entries as single big integers
-instead of fractions; results are converted back to Fractions and fully
-reduced, so kernels and solutions come out in a canonical reduced-echelon
-shape.
+`rref` eliminates on denominator-cleared integer rows: a fraction-free
+(Bareiss) forward pass, then integer back-substitution above each pivot,
+each row kept primitive by dividing out the gcd of its entries.  Each row
+becomes Fractions once, at the end, by dividing by its pivot, so kernels
+and solutions come out in the unique reduced-echelon shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,7 +26,7 @@ Vector = List[Fraction]
 
 
 class RatMatrix:
-    """Matrix of Fractions with the nonzero (column, value) pairs of each row."""
+    """Matrix of Fractions; each row also as integer numerators over one denominator."""
 
     def __init__(self, entries: Sequence[Sequence]):
         self.entries = [[Fraction(x) for x in row] for row in entries]
@@ -31,7 +35,15 @@ class RatMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
-        self.nonzero_rows = [[(j, x) for j, x in enumerate(row) if x] for row in self.entries]
+
+    @cached_property
+    def integer_rows(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
+        """(row denominator, nonzero (column, numerator) pairs) of each row."""
+        out = []
+        for row in self.entries:
+            nums, den = _over_common_denominator(row)
+            out.append((den, [(j, x) for j, x in enumerate(nums) if x]))
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
@@ -48,10 +60,12 @@ class RatMatrix:
         return [row[j] for row in self.entries]
 
     def mat_vec(self, v: Sequence) -> Vector:
+        """Product with a vector of ints or Fractions."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        v = [Fraction(x) for x in v]
-        return [sum((x * v[j] for j, x in row), Fraction(0)) for row in self.nonzero_rows]
+        w, d = _over_common_denominator(v)
+        return [Fraction(sum([x * w[j] for j, x in row]), den * d)
+                for den, row in self.integer_rows]
 
     def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -74,27 +88,30 @@ class RatMatrix:
         return f"RatMatrix({self.entries})"
 
 
-def _clear_row(row: Sequence[Fraction]) -> List[int]:
-    denoms = [x.denominator for x in row]
-    m = 1
-    for d in denoms:
-        m = lcm(m, d)
-    cleared = [int(x * m) for x in row]
-    g = 0
-    for x in cleared:
-        g = gcd(g, abs(x))
-    if g > 1:
-        cleared = [x // g for x in cleared]
-    return cleared
+def _over_common_denominator(values: Sequence) -> Tuple[List[int], int]:
+    """Integer numerators of ints or Fractions over their least common denominator."""
+    m = lcm(*[x.denominator for x in values])
+    return [x.numerator * (m // x.denominator) for x in values], m
+
+
+def _primitive(row: List[int]) -> List[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def clear_row(row: Sequence) -> List[int]:
+    """Primitive integer row proportional to a row of ints or Fractions."""
+    return _primitive(_over_common_denominator(row)[0])
 
 
 def rref(entries: Sequence[Sequence[Fraction]]) -> Tuple[List[int], List[Vector]]:
-    """Reduced row echelon form via integer Bareiss elimination.
+    """Reduced row echelon form via integer elimination.
 
     Returns (pivot column indices, reduced rows); the reduced rows have a
     leading 1 in each pivot column and zeros above and below it.
     """
-    rows = [_clear_row(row) for row in entries]
+    rows = [clear_row(row) for row in entries]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: List[int] = []
@@ -110,28 +127,30 @@ def rref(entries: Sequence[Sequence[Fraction]]) -> Tuple[List[int], List[Vector]
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pc = rows[r][c]
+        row_r = rows[r]
         for i in range(r + 1, nrows):
             ic = rows[i][c]
             row_i = rows[i]
-            row_r = rows[r]
-            for j in range(ncols):
+            # entries left of c are zero in rows r.. and stay zero
+            for j in range(c, ncols):
                 row_i[j] = (pc * row_i[j] - ic * row_r[j]) // prev
         prev = pc
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    # Back-substitute over Fractions to reach the reduced form.
-    reduced: List[Vector] = [[Fraction(x) for x in rows[i]] for i in range(len(pivots))]
-    for i in range(len(pivots) - 1, -1, -1):
+    # Back-substitute in integers: row_k = pv * row_k - f * row_i clears
+    # column c of row k; the pivot rows become Fractions once, at the end.
+    rows = [_primitive(rows[i]) for i in range(r)]
+    for i in range(r - 1, 0, -1):
         c = pivots[i]
-        pv = reduced[i][c]
-        reduced[i] = [x / pv for x in reduced[i]]
+        row_i = rows[i]
+        pv = row_i[c]
         for k in range(i):
-            f = reduced[k][c]
+            f = rows[k][c]
             if f:
-                reduced[k] = [a - f * b for a, b in zip(reduced[k], reduced[i])]
-    return pivots, reduced
+                rows[k] = _primitive([pv * a - f * b for a, b in zip(rows[k], row_i)])
+    return pivots, [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
 
 
 def rank_kernel(m: RatMatrix) -> Tuple[int, List[Vector]]:

@@ -353,3 +353,21 @@ def test_find_quadratic_chart_for_husain():
     flip, moved, dim, kernel = found
     assert moved.poly.is_homogeneous(2)
     assert dim == 4 and len(kernel) == 4
+
+
+def test_reduction_with_permutation_equals_permuted_reduction():
+    from itertools import permutations
+
+    from heavenly.errors import ZeroReduction
+
+    rng = Random(59)
+    for eq in (catalog.husain(), catalog.general_heavenly()):
+        for perm in permutations((1, 2, 3, 4)):
+            sample = ReductionSample.random(rng)
+            try:
+                expected = travelling_wave_reduce(permute_equation(eq, perm), sample)
+            except ZeroReduction:
+                with pytest.raises(ZeroReduction):
+                    travelling_wave_reduce(eq, sample, perm)
+                continue
+            assert travelling_wave_reduce(eq, sample, perm) == expected

@@ -285,3 +285,33 @@ def test_structure_bracket_matches_derivations():
                        - gens[q].apply(images[p].get(var, zero)))
                 rhs = sum((c * images[r].get(var, zero) for r, c in table[p][q]), zero)
                 assert lhs == rhs, (gens[p].label, gens[q].label, var)
+
+
+def test_symmetry_algebra_invariant_under_equation_scaling():
+    rng = Random(61)
+    eqs = [catalog.husain(), catalog.general_heavenly(), catalog.first_heavenly()]
+    # a 3D equation with non-integral coordinates
+    eqs.append(MAEquation.from_coords(3, [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                                          for _ in range(minor_basis(3).dimension)]))
+    for eq in eqs:
+        alg = symmetry_algebra(eq)
+        for scale in (Fraction(7, 3), Fraction(-2, 5)):
+            scaled = symmetry_algebra(eq.scaled(scale))
+            assert scaled.basis == alg.basis
+            assert scaled.eigenvalues == alg.eigenvalues
+
+
+def test_subalgebra_invariants_computed_once(monkeypatch):
+    from heavenly import liesp
+
+    alg = symmetry_algebra(catalog.husain())
+    calls = []
+    for name in ("center", "derived_subalgebra"):
+        original = getattr(liesp, name)
+        monkeypatch.setattr(liesp, name,
+                            lambda a, name=name, f=original: calls.append(name) or f(a))
+    first = alg.describe()
+    assert alg.describe() == first
+    assert is_reductive(alg) is False
+    assert sorted(calls) == ["center", "derived_subalgebra"]
+    assert first["center-dimension"] == len(center(alg))

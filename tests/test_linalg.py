@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from heavenly.linalg import RatMatrix, rank_kernel, solve_linear, row_space_basis, in_row_space
+from heavenly.linalg import invert, rref
 
 
 def naive_rank(entries):
@@ -173,3 +174,84 @@ def test_rank_kernel_and_solve_match_sympy():
         so = sympy.Matrix([int(x) for x in other])
         consistent = sm.row_join(so).rank() == sm.rank()
         assert (solve_linear(m, other) is not None) == consistent
+
+
+def _sympy_matrix(sympy, entries):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                         for row in entries])
+
+
+def _from_sympy(row):
+    return [Fraction(int(x.p), int(x.q)) for x in row]
+
+
+def _rref_cases(rng):
+    """Seeded rational matrices: rank-deficient, zero-row, wide, tall, large-entry."""
+    def rand(rows, cols, top=9, den=4):
+        return [[Fraction(rng.randint(-top, top), rng.randint(1, den)) for _ in range(cols)]
+                for _ in range(rows)]
+
+    cases = []
+    for _ in range(6):
+        rows, cols = rng.randint(3, 6), rng.randint(3, 6)
+        left, right = rand(rows, 2), rand(2, cols)  # rank at most 2
+        cases.append([[sum((left[i][k] * right[k][j] for k in range(2)), Fraction(0))
+                       for j in range(cols)] for i in range(rows)])
+        with_zero = rand(rows, cols)
+        with_zero[rng.randrange(rows)] = [Fraction(0)] * cols
+        cases.append(with_zero)
+        cases.append(rand(rng.randint(1, 3), rng.randint(6, 9)))  # wide
+        cases.append(rand(rng.randint(6, 9), rng.randint(1, 3)))  # tall
+        cases.append(rand(rows, cols, top=10 ** 30, den=10 ** 12))  # large entries
+        cases.append(_random_sparse_matrix(rng, rows, cols))
+    cases.append([[Fraction(0)] * 4 for _ in range(3)])
+    return cases
+
+
+def test_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for entries in _rref_cases(Random(43)):
+        pivots, reduced = rref(entries)
+        oracle, oracle_pivots = _sympy_matrix(sympy, entries).rref()
+        assert pivots == list(oracle_pivots)
+        assert reduced == [_from_sympy(oracle.row(i)) for i in range(len(pivots))]
+        assert all(x == 0 for i in range(len(pivots), oracle.rows) for x in oracle.row(i))
+
+
+def test_invert_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(47)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(1, 6)
+        entries = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                   for _ in range(n)]
+        sm = _sympy_matrix(sympy, entries)
+        if sm.det() == 0:
+            continue
+        inverse = invert(RatMatrix(entries))
+        assert inverse.entries == [_from_sympy(sm.inv().row(i)) for i in range(n)]
+        checked += 1
+    singular = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]
+    with pytest.raises(ValueError):
+        invert(RatMatrix(singular))
+
+
+def test_mat_vec_with_non_integral_rows():
+    # every row has its own denominator, some rows are zero, and the vector
+    # mixes ints with Fractions of several denominators
+    rng = Random(53)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        entries = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10 ** 9 + 7)))
+                    for _ in range(cols)] for _ in range(rows)]
+        entries[rng.randrange(rows)] = [Fraction(0)] * cols
+        m = RatMatrix(entries)
+        ints = [rng.randint(-5, 5) for _ in range(cols)]
+        fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 11)) for _ in range(cols)]
+        mixed = [x if rng.random() < 0.5 else y for x, y in zip(ints, fracs)]
+        for v in (ints, fracs, mixed):
+            got = m.mat_vec(v)
+            assert got == [sum((row[j] * v[j] for j in range(cols)), Fraction(0))
+                           for row in entries]
+            assert all(type(x) is Fraction for x in got)

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import ProportionalityViolation, ZeroPullback
+from .errors import InvariantViolation, ProportionalityViolation, ZeroPullback
 from .grassmann import MAEquation, MinorBasis, decompose, minor_basis, uvar
 from .linalg import RatMatrix, rank_kernel, solve_linear
 from .poly import Polynomial, determinant, signed_sum
@@ -46,7 +46,8 @@ class ExteriorForm:
         return not self.terms
 
     def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        assert (self.n, self.degree) == (other.n, other.degree)
+        if (self.n, self.degree) != (other.n, other.degree):
+            raise ValueError("cannot add forms of different dimension or degree")
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k, 0) + c
@@ -68,7 +69,8 @@ class ExteriorForm:
                 and (self.n, self.degree, self.terms) == (other.n, other.degree, other.terms))
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("cannot wedge forms of different dimension")
         out: Dict[Key, Fraction] = {}
         for k1, c1 in self.terms.items():
             s1 = set(k1)
@@ -155,7 +157,8 @@ def volume_normalizer(n: int) -> Tuple[Key, Fraction]:
         power = power.wedge(omega)
     key = tuple(range(2 * n))
     coeff = power.terms.get(key, Fraction(0))
-    assert coeff, "symplectic volume vanished"
+    if not coeff:
+        raise InvariantViolation("symplectic volume vanished")
     return key, coeff
 
 
@@ -198,7 +201,8 @@ def _effective_frame(n: int):
     target_keys = sorted({k for img in wedge_images for k in img.terms})
     rows = [[img.terms.get(k, Fraction(0)) for img in wedge_images] for k in target_keys]
     _, kernel = rank_kernel(RatMatrix(rows))
-    assert len(kernel) == basis.dimension, "effective forms have unexpected dimension"
+    if len(kernel) != basis.dimension:
+        raise InvariantViolation("effective forms have unexpected dimension")
     effective = []
     for vec in kernel:
         form = ExteriorForm(n, n, {monos[i]: c for i, c in enumerate(vec) if c})
@@ -207,7 +211,8 @@ def _effective_frame(n: int):
     iso = RatMatrix([[columns[k][i] for k in range(len(columns))]
                      for i in range(basis.dimension)])
     rank, _ = rank_kernel(iso)
-    assert rank == basis.dimension, "pullback is not an isomorphism on effective forms"
+    if rank != basis.dimension:
+        raise InvariantViolation("pullback is not an isomorphism on effective forms")
     return tuple(effective), iso
 
 
@@ -215,7 +220,8 @@ def effective_lift(eq: MAEquation) -> ExteriorForm:
     """The unique effective n-form whose pullback is the equation."""
     effective, iso = _effective_frame(eq.n)
     sol = solve_linear(iso, list(eq.coords))
-    assert sol is not None
+    if sol is None:
+        raise InvariantViolation("equation has no effective lift")
     weights, _ = sol
     out = ExteriorForm(eq.n, eq.n, {})
     for w, form in zip(weights, effective):

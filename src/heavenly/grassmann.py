@@ -7,13 +7,17 @@ an equation is a hyperplane section, i.e. an element of that span.
 
 The canonical basis is the reduced echelon form of the minor set, degree by
 degree, with columns ordered by the frozen monomial order, so coordinates
-are reproducible across runs and serializable.
+are reproducible across runs and serializable.  Each basis element has
+coefficient 1 at its leading monomial (its pivot) and 0 at every other
+pivot, so coordinate k of an equation is its coefficient at basis k's
+leading monomial.  The same elimination records each basis element as a
+combination of the raw minors, which the Legendre transform relabels.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -50,26 +54,20 @@ def minor_poly(rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     return determinant([[uvar(i, j) for j in cols] for i in rows])
 
 
-def all_minors(n: int, size: int) -> List[Polynomial]:
-    """All size x size minors of the symmetric Hessian, unordered {rows, cols}."""
-    if size == 0:
-        return [Polynomial.one()]
-    subsets = list(combinations(range(1, n + 1), size))
-    out = []
-    for a in range(len(subsets)):
-        for b in range(a, len(subsets)):
-            out.append(minor_poly(subsets[a], subsets[b]))
-    return out
-
-
 @dataclass(frozen=True)
 class MinorBasis:
-    """Canonical (reduced-echelon) basis of the minor span for dimension n."""
+    """Canonical (reduced-echelon) basis of the minor span for dimension n.
+
+    `pivots[k]` is the leading monomial of basis polynomial k: it has
+    coefficient 1 there and 0 at every other pivot.  `minor_combinations[k]`
+    writes it over the raw minors, in `_minor_pairs(n)` order.
+    """
 
     n: int
     basis_polys: Tuple[Polynomial, ...]
     per_degree_dims: Tuple[int, ...]
-    _pivot_index: Dict[Monomial, int] = field(hash=False, compare=False, default_factory=dict)
+    pivots: Tuple[Monomial, ...]
+    minor_combinations: Tuple[Tuple[Fraction, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -80,20 +78,27 @@ class MinorBasis:
         return range(start, start + self.per_degree_dims[d])
 
 
-def _echelonize_polys(polys: Sequence[Polynomial]) -> List[Polynomial]:
+def _echelonize_polys(
+        polys: Sequence[Polynomial]) -> List[Tuple[Polynomial, Monomial, List[Fraction]]]:
+    """Reduced echelon basis of the span of polys, each element also over polys.
+
+    One elimination of [coefficients | I]: the rows with a pivot among the
+    monomial columns are the basis, and their identity block is the
+    combination of polys giving each.  Returns (poly, pivot, combination)s.
+    """
     monomials = sorted({m for p in polys for m in p.terms}, key=mono_order_key)
     index = {m: k for k, m in enumerate(monomials)}
+    width = len(monomials)
     rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monomials)
+    for i, p in enumerate(polys):
+        row = [Fraction(0)] * (width + len(polys))
         for m, c in p.terms.items():
             row[index[m]] = c
+        row[width + i] = Fraction(1)
         rows.append(row)
-    _, reduced = rref(rows)
-    out = []
-    for row in reduced:
-        out.append(Polynomial({monomials[k]: c for k, c in enumerate(row) if c}))
-    return out
+    return [(Polynomial({monomials[k]: x for k, x in enumerate(row[:width]) if x}),
+             monomials[c], row[width:])
+            for c, row in zip(*rref(rows)) if c < width]
 
 
 @lru_cache(maxsize=None)
@@ -101,36 +106,44 @@ def minor_basis(n: int) -> MinorBasis:
     """Canonical minor basis; supports 2 <= n <= 4."""
     if not MIN_DIM <= n <= MAX_DIM:
         raise UnsupportedDimension(f"n={n} outside supported range {MIN_DIM}..{MAX_DIM}")
+    polys = _minor_polys(n)
     basis: List[Polynomial] = []
     dims: List[int] = []
+    pivots: List[Monomial] = []
+    combos: List[Tuple[Fraction, ...]] = []
+    start = 0
     for size in range(n + 1):
-        echelon = _echelonize_polys(all_minors(n, size))
+        stop = start + comb(comb(n, size) + 1, 2)  # unordered pairs of size-subsets
+        echelon = _echelonize_polys(polys[start:stop])
         dims.append(len(echelon))
-        basis.extend(echelon)
+        for poly, pivot, combo in echelon:
+            basis.append(poly)
+            pivots.append(pivot)
+            combos.append((Fraction(0),) * start + tuple(combo)
+                          + (Fraction(0),) * (len(polys) - stop))
+        start = stop
     expected = comb(2 * n, n) - comb(2 * n, n + 2)
     if len(basis) != expected:
         raise InvariantViolation(f"minor span dimension mismatch: {len(basis)} != {expected}")
-    pivots = {p.lead_monomial(): k for k, p in enumerate(basis)}
-    return MinorBasis(n, tuple(basis), tuple(dims), pivots)
+    return MinorBasis(n, tuple(basis), tuple(dims), tuple(pivots), tuple(combos))
 
 
 def decompose(poly: Polynomial, basis: MinorBasis) -> List[Fraction]:
-    """Coordinates of poly over basis.basis_polys; raises NotInSpan otherwise."""
+    """Coordinates of poly over basis.basis_polys; raises NotInSpan otherwise.
+
+    Coordinate k is poly's coefficient at basis k's pivot.  Whatever is left
+    after subtracting that combination lies outside the span, and its
+    leading monomial is reported.
+    """
     allowed = set(chart_vars(basis.n))
     foreign = poly.variables() - allowed
     if foreign:
         bad = [m for m in poly.terms if any(v in foreign for v, _ in m)]
         raise NotInSpan(_mono_strs(bad))
-    coords = [Fraction(0)] * basis.dimension
-    rem = poly
-    while rem.terms:
-        lm = rem.lead_monomial()
-        k = basis._pivot_index.get(lm)
-        if k is None:
-            raise NotInSpan(_mono_strs([lm]))
-        c = rem.lead_coeff() / basis.basis_polys[k].lead_coeff()
-        coords[k] += c
-        rem = rem - c * basis.basis_polys[k]
+    coords = [poly.terms.get(m, Fraction(0)) for m in basis.pivots]
+    rem = poly - combine(coords, basis)
+    if rem.terms:
+        raise NotInSpan(_mono_strs([min(rem.terms, key=mono_order_key)]))
     return coords
 
 
@@ -299,32 +312,6 @@ def _minor_polys(n: int) -> Tuple[Polynomial, ...]:
     return tuple(minor_poly(r, c) for r, c in _minor_pairs(n))
 
 
-@lru_cache(maxsize=None)
-def _basis_over_minors(n: int) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Each canonical basis polynomial as a combination of the raw minors."""
-    from .linalg import solve_linear
-
-    pairs = _minor_pairs(n)
-    polys = _minor_polys(n)
-    monomials = sorted({m for p in polys for m in p.terms}, key=mono_order_key)
-    index = {m: k for k, m in enumerate(monomials)}
-    cols = [[Fraction(0)] * len(pairs) for _ in monomials]
-    for j, p in enumerate(polys):
-        for m, c in p.terms.items():
-            cols[index[m]][j] = c
-    coeff_matrix = RatMatrix(cols)
-    out = []
-    for b in minor_basis(n).basis_polys:
-        target = [Fraction(0)] * len(monomials)
-        for m, c in b.terms.items():
-            target[index[m]] = c
-        sol = solve_linear(coeff_matrix, target)
-        if sol is None:
-            raise InvariantViolation("canonical basis element escaped the minor set")
-        out.append(tuple(sol[0]))
-    return tuple(out)
-
-
 def _relabel_minor(pair, s: frozenset, n: int):
     """Minor label after the Legendre flip: Plucker rows swap roles on s."""
     r, c = set(pair[0]), set(pair[1])
@@ -391,12 +378,11 @@ def legendre_matrix(n: int, s: frozenset) -> RatMatrix:
     """Action of the Legendre flip on canonical coordinates (N x N, exact)."""
     basis = minor_basis(n)
     relabel = _legendre_signed_relabel(n, s)
-    minor_images = _basis_over_minors(n)
     polys = _minor_polys(n)
     columns = []
-    for k in range(basis.dimension):
+    for combination in basis.minor_combinations:
         image = Polynomial.zero()
-        for m_idx, coeff in enumerate(minor_images[k]):
+        for m_idx, coeff in enumerate(combination):
             if coeff:
                 j, sign = relabel[m_idx]
                 image = image + coeff * sign * polys[j]

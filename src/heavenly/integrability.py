@@ -32,6 +32,7 @@ from .grassmann import (
     uvar,
 )
 from .liesp import is_reductive, nondegenerate, symmetry_algebra
+from .linalg import in_row_space
 from .poly import Polynomial
 from .quartic import BinaryQuartic, is_harmonic, multiplicity_pattern, quartic_invariants
 
@@ -349,30 +350,19 @@ class QuarticPair:
         return MAEquation.from_poly(4, total)
 
 
+@lru_cache(maxsize=None)
+def _ef_coordinate_rows() -> Tuple[Tuple[Fraction, ...], ...]:
+    e, f = ef_basis()
+    return tuple(MAEquation.from_poly(4, poly).coords for poly in e + f)
+
+
 def ef_coordinates(eq: MAEquation) -> QuarticPair:
     """Decompose a quadratic equation over the tangent pencil, as p - q."""
     if eq.n != 4:
         raise NotInEF("the tangent pencil lives in n = 4")
-    e, f = ef_basis()
-    polys = list(e) + list(f)
-    from .linalg import RatMatrix, solve_linear
-    from .poly import mono_order_key
-
-    monomials = sorted({m for p in polys for m in p.terms}, key=mono_order_key)
-    index = {m: i for i, m in enumerate(monomials)}
-    rows = [[Fraction(0)] * len(polys) for _ in monomials]
-    for j, p in enumerate(polys):
-        for m, c in p.terms.items():
-            rows[index[m]][j] = c
-    target = [Fraction(0)] * len(monomials)
-    for m, c in eq.poly.terms.items():
-        if m not in index:
-            raise NotInEF("equation is outside the doubly tangent quadratic pencil")
-        target[index[m]] = c
-    sol = solve_linear(RatMatrix(rows), target)
-    if sol is None:
+    coeffs = in_row_space(_ef_coordinate_rows(), eq.coords)
+    if coeffs is None:
         raise NotInEF("equation is outside the doubly tangent quadratic pencil")
-    coeffs = sol[0]
     p = BinaryQuartic.from_coeffs(coeffs[:5])
     q = BinaryQuartic.from_coeffs([-c for c in coeffs[5:]])
     return QuarticPair(p, q)

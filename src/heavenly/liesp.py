@@ -193,7 +193,8 @@ class LieSubalgebra:
 
     def __init__(self, n: int, basis, structure_constants=None, eigenvalues=()):
         self.n = n
-        self.basis = tuple(tuple(Fraction(x) for x in v) for v in basis)
+        self.basis = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
+                           for v in basis)
         self.eigenvalues = tuple(eigenvalues)
         self._structure = structure_constants
         self._center = None

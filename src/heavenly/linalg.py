@@ -29,7 +29,8 @@ class RatMatrix:
     """Matrix of Fractions; each row also as integer numerators over one denominator."""
 
     def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
+        self.entries = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+                        for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.rows else 0
         for row in self.entries:
@@ -52,12 +53,6 @@ class RatMatrix:
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
         return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def column(self, j: int) -> Vector:
-        return [row[j] for row in self.entries]
 
     def mat_vec(self, v: Sequence) -> Vector:
         """Product with a vector of ints or Fractions."""

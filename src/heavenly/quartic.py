@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Tuple
 
-from .errors import ZeroPolynomial
+from .errors import InvariantViolation, ZeroPolynomial
 from .poly import signed_sum
 
 
@@ -123,7 +123,8 @@ def multiplicity_pattern(q: BinaryQuartic) -> Tuple[int, ...]:
     if inf_mult:
         pattern.append(inf_mult)
     pattern.sort(reverse=True)
-    assert sum(pattern) == 4
+    if sum(pattern) != 4:
+        raise InvariantViolation(f"root multiplicities {pattern} do not sum to 4")
     return tuple(pattern)
 
 

@@ -33,6 +33,16 @@ def test_wedge_anticommutes():
         assert ab == sign * ba
 
 
+def test_mismatched_operands_raise():
+    two_form = monomial_form(4, (0, 1))
+    with pytest.raises(ValueError):
+        two_form + monomial_form(4, (0, 1, 2))
+    with pytest.raises(ValueError):
+        two_form + monomial_form(3, (0, 1))
+    with pytest.raises(ValueError):
+        two_form.wedge(monomial_form(3, (0,)))
+
+
 def test_wedge_associative():
     n = 3
     a = monomial_form(n, (0,)) + 2 * monomial_form(n, (4,))

@@ -9,6 +9,7 @@ import pytest
 from heavenly.errors import NotInSpan, NotPurelyQuadratic, UnsupportedDimension
 from heavenly.grassmann import (
     LagrangePoint,
+    _minor_polys,
     MAEquation,
     chart_vars,
     decompose,
@@ -27,7 +28,7 @@ from heavenly.grassmann import (
     uvar,
 )
 from heavenly.linalg import RatMatrix, rank_kernel
-from heavenly.poly import determinant
+from heavenly.poly import Polynomial, determinant
 
 
 def det_eq(n):
@@ -54,6 +55,63 @@ def test_minor_basis_dimensions():
 def test_minor_basis_unsupported_dimension():
     with pytest.raises(UnsupportedDimension):
         minor_basis(5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_basis_polys_are_their_minor_combinations(n):
+    basis = minor_basis(n)
+    minors = _minor_polys(n)
+    for poly, combination in zip(basis.basis_polys, basis.minor_combinations):
+        assert len(combination) == len(minors)
+        total = Polynomial.zero()
+        for c, minor in zip(combination, minors):
+            total = total + c * minor
+        assert total == poly
+    assert basis.pivots == tuple(p.lead_monomial() for p in basis.basis_polys)
+
+
+def reference_decompose(poly, basis):
+    """Leading-monomial elimination over the basis: the oracle for decompose."""
+    pivot_index = {p.lead_monomial(): k for k, p in enumerate(basis.basis_polys)}
+    coords = [Fraction(0)] * basis.dimension
+    rem = poly
+    while rem.terms:
+        lm = rem.lead_monomial()
+        k = pivot_index.get(lm)
+        if k is None:
+            raise NotInSpan([str(Polynomial({lm: 1}))])
+        c = rem.lead_coeff() / basis.basis_polys[k].lead_coeff()
+        coords[k] += c
+        rem = rem - c * basis.basis_polys[k]
+    return coords
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decompose_matches_leading_monomial_reference(n):
+    rng = Random(100 + n)
+    basis = minor_basis(n)
+    names = chart_vars(n)
+    outside = 0
+    for _ in range(150):
+        poly = Polynomial.zero()
+        for k in rng.sample(range(basis.dimension), rng.randint(1, 4)):
+            poly = poly + Fraction(rng.randint(-5, 5), rng.randint(1, 3)) * basis.basis_polys[k]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                mono = Polynomial.constant(rng.randint(-3, 3))
+                for _ in range(rng.randint(0, n + 1)):
+                    mono = mono * Polynomial.variable(rng.choice(names))
+                poly = poly + mono
+        try:
+            expected = reference_decompose(poly, basis)
+        except NotInSpan as exc:
+            outside += 1
+            with pytest.raises(NotInSpan) as got:
+                decompose(poly, basis)
+            assert got.value.monomials == exc.monomials
+        else:
+            assert decompose(poly, basis) == expected
+    assert 0 < outside < 150
 
 
 def test_first_heavenly_decomposes():

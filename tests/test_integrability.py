@@ -206,8 +206,9 @@ def test_ef_coordinates_examples():
     pair = ef_coordinates(combo)
     assert pair.p.coeffs() == [-1, 0, 1, 0, 0]
     assert pair.q.coeffs() == [0, 0, 1, 0, 0]
-    with pytest.raises(NotInEF):
-        ef_coordinates(catalog.first_heavenly())
+    for outside in (catalog.first_heavenly(), catalog.husain()):
+        with pytest.raises(NotInEF):
+            ef_coordinates(outside)
 
 
 def test_ef_round_trip_random():

@@ -86,6 +86,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _csv(text: str, kind, message: str) -> List:
+    """Comma-separated values of one type; a bad entry is a CommandError."""
+    try:
+        return [kind(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise CommandError(message) from None
+
+
 def _add_common_options(sub):
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub.add_argument("--trials", type=_positive_int, default=None)
@@ -106,7 +114,7 @@ def resolve_equation(args, default_n=4) -> MAEquation:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 return equation_from_json(handle.read())
-        except (OSError, ValueError) as err:
+        except (OSError, ValueError, ZeroDivisionError) as err:
             raise CommandError(f"cannot load equation: {err}") from None
     n = getattr(args, "n", None) or default_n
     return parse_equation(args.expr, n)
@@ -273,10 +281,10 @@ def cmd_reduce(args) -> Dict:
     eq = resolve_equation(args)
     if eq.n != 4:
         raise CommandError("reduction starts from n = 4")
-    k = [Fraction(x) for x in args.k.split(",")] if args.k else [Fraction(0)] * 3
+    k = _csv(args.k or "0,0,0", Fraction, "--k needs three comma-separated rationals")
     if len(k) != 3:
         raise CommandError("--k needs three comma-separated rationals")
-    q_entries = [Fraction(x) for x in args.q.split(",")] if args.q else []
+    q_entries = _csv(args.q, Fraction, "--q entries must be rationals") if args.q else []
     q = [[Fraction(0)] * 4 for _ in range(4)]
     if q_entries:
         if len(q_entries) != 10:
@@ -301,10 +309,7 @@ def cmd_reduce(args) -> Dict:
 
 def cmd_legendre(args) -> Dict:
     eq = resolve_equation(args, default_n=4)
-    try:
-        flip = [int(x) for x in args.flip.split(",")] if args.flip else []
-    except ValueError:
-        raise CommandError("--flip needs comma-separated indices") from None
+    flip = _csv(args.flip, int, "--flip needs comma-separated indices") if args.flip else []
     if any(i < 1 or i > eq.n for i in flip):
         raise CommandError(f"--flip indices must lie in 1..{eq.n}")
     if len(set(flip)) != len(flip):

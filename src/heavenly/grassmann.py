@@ -11,7 +11,17 @@ are reproducible across runs and serializable.  Each basis element has
 coefficient 1 at its leading monomial (its pivot) and 0 at every other
 pivot, so coordinate k of an equation is its coefficient at basis k's
 leading monomial.  The same elimination records each basis element as a
-combination of the raw minors, which the Legendre transform relabels.
+combination of the raw minors.
+
+The Plucker section reads U as the plane spanned by the columns of [I; U]
+in Q^2n (rows 0..n-1 are identity rows, rows n..2n-1 the rows of U); p_S
+is its minor on the rows S.  Laplace expansion along the identity rows
+gives p_S = eps * det U[R, C] for sorted S = T + (n + R), with C the
+complement of T in [n] and eps the sign of the permutation (T, C).  So a
+2n x 2n matrix acts on the raw minors through its n-th exterior power, in
+integers: the sp(2n) action matrices (`derivation_matrix`) and the
+Legendre flips (`legendre_matrix`) take one `decompose` per raw minor and
+no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -22,11 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
                      UnsupportedDimension)
-from .linalg import RatMatrix, invert, rank_kernel, rref
+from .linalg import RatMatrix, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
 
 MIN_DIM, MAX_DIM = 2, 4
@@ -260,40 +270,7 @@ def translate(eq: MAEquation, u0: Sequence[Sequence]) -> MAEquation:
     return MAEquation.from_poly(n, eq.poly.subs(mapping))
 
 
-def legendre_chart_matrix(matrix: Sequence[Sequence[Fraction]], flip: Sequence[int]):
-    """Image of a chart point under the Legendre flip of the given index pairs.
-
-    Block inversion on the flipped block:
-
-        [A B; B^T D]  ->  [A^-1, -A^-1 B; -B^T A^-1, B^T A^-1 B - D]
-
-    which is an exact involution.  Returns None when the flipped block is
-    singular (the point is outside the new chart).
-    """
-    n = len(matrix)
-    s = sorted(set(flip))
-    t = [i for i in range(1, n + 1) if i not in s]
-    try:
-        ainv = invert(RatMatrix([[matrix[i - 1][j - 1] for j in s] for i in s])).entries
-    except ValueError:  # the flipped block is singular
-        return None
-    out = [[Fraction(0)] * n for _ in range(n)]
-    pos = {idx: p for p, idx in enumerate(s)}
-    for ii in s:
-        for jj in s:
-            out[ii - 1][jj - 1] = ainv[pos[ii]][pos[jj]]
-    for ii in s:
-        for jj in t:
-            v = -sum((ainv[pos[ii]][pos[kk]] * Fraction(matrix[kk - 1][jj - 1]) for kk in s),
-                     Fraction(0))
-            out[ii - 1][jj - 1] = v
-            out[jj - 1][ii - 1] = v
-    for ii in t:
-        for jj in t:
-            v = sum((Fraction(matrix[p - 1][ii - 1]) * ainv[pos[p]][pos[q]]
-                     * Fraction(matrix[q - 1][jj - 1]) for p in s for q in s), Fraction(0))
-            out[ii - 1][jj - 1] = v - Fraction(matrix[ii - 1][jj - 1])
-    return out
+# -- Plucker coordinates (see the module docstring) -------------------------
 
 
 @lru_cache(maxsize=None)
@@ -312,93 +289,118 @@ def _minor_polys(n: int) -> Tuple[Polynomial, ...]:
     return tuple(minor_poly(r, c) for r, c in _minor_pairs(n))
 
 
-def _relabel_minor(pair, s: frozenset, n: int):
-    """Minor label after the Legendre flip: Plucker rows swap roles on s."""
-    r, c = set(pair[0]), set(pair[1])
-    c_comp = set(range(1, n + 1)) - c
-    r_new = (r - s) | (c_comp & s)
-    c_new_comp = (c_comp - s) | (r & s)
-    c_new = set(range(1, n + 1)) - c_new_comp
-    a, b = tuple(sorted(r_new)), tuple(sorted(c_new))
-    return (a, b) if a <= b else (b, a)
+def _permutation_sign(seq: Sequence[int]) -> int:
+    return (-1) ** sum(1 for a, b in combinations(seq, 2) if a > b)
+
+
+def plucker_minor(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """(raw minor index m, sign) with p_rows = sign * minor m on the chart.
+
+    rows is an ordered tuple of n rows of [I; U], 0-based; None when a row
+    repeats, i.e. p_rows = 0.
+    """
+    if len(set(rows)) < len(rows):
+        return None
+    top = tuple(r + 1 for r in sorted(rows) if r < n)
+    bottom = tuple(r + 1 - n for r in sorted(rows) if r >= n)
+    cols = tuple(i for i in range(1, n + 1) if i not in top)
+    sign = _permutation_sign(rows) * _permutation_sign(top + cols)
+    return _minor_pairs(n).index((min(bottom, cols), max(bottom, cols))), sign
 
 
 @lru_cache(maxsize=None)
-def _legendre_signed_relabel(n: int, s: frozenset):
-    """For each canonical minor: (index of its image minor, sign).
+def _plucker_rows(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Raw minor (R, C) as (sorted rows S, eps) with minor = eps * p_S."""
+    out = []
+    for rows, cols in _minor_pairs(n):
+        top = tuple(i for i in range(1, n + 1) if i not in cols)
+        out.append((tuple(i - 1 for i in top) + tuple(n + r - 1 for r in rows),
+                    _permutation_sign(top + cols)))
+    return tuple(out)
 
-    The image satisfies  minor(legendre(V)) * det(V_ss) = sign * image(V)
-    exactly; the sign is pinned by exact evaluation at sample points where
-    no minor vanishes.
+
+@lru_cache(maxsize=None)
+def _minor_maps(n: int) -> Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], ...], ...]:
+    """Nonzero entries of each basis element over the raw minors, and of each
+    raw minor over the basis (decompose checks that it lies in the span)."""
+    basis = minor_basis(n)
+    combos = tuple(tuple((m, a) for m, a in enumerate(c) if a) for c in basis.minor_combinations)
+    return combos, tuple(tuple((k, c) for k, c in enumerate(decompose(p, basis)) if c)
+                         for p in _minor_polys(n))
+
+
+def _on_basis(n: int, images: Sequence[Dict[int, int]]) -> RatMatrix:
+    """Canonical-coordinate matrix of the map raw minor m -> images[m].
+
+    images[m] = {j: c} stands for sum_j c * minor j.  Column k is basis k's
+    minor combination of the images, written over the basis.
     """
-    from random import Random
+    combos, over_basis = _minor_maps(n)
+    dim = len(combos)
+    columns = []
+    for combination in combos:
+        col = [Fraction(0)] * dim
+        for m, a in combination:
+            for j, b in images[m].items():
+                for k, c in over_basis[j]:
+                    col[k] += a * b * c
+        columns.append(col)
+    return RatMatrix([[columns[k][i] for k in range(dim)] for i in range(dim)])
 
-    pairs = _minor_pairs(n)
-    polys = _minor_polys(n)
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    rng = Random(10 * n + len(s))
-    s_list = sorted(s)
 
-    def sample_point():
-        while True:
-            m = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    m[i][j] = m[j][i] = Fraction(rng.randint(-9, 9))
-            assignment = {ucoord(i + 1, j + 1): m[i][j] for i in range(n) for j in range(i, n)}
-            if all(p.evaluate(assignment) for p in polys if p.degree() > 0):
-                return m, assignment
+def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]) -> RatMatrix:
+    """Action of a 2n x 2n matrix M, as a derivation, on canonical coordinates.
 
-    results = None
-    for _ in range(2):  # two independent samples pin and confirm each sign
-        v, assignment = sample_point()
-        image = legendre_chart_matrix(v, s_list)
-        det_s = minor_poly(s_list, s_list).evaluate(assignment) if s_list else Fraction(1)
-        img_assignment = {ucoord(i + 1, j + 1): image[i][j]
-                          for i in range(n) for j in range(i, n)}
-        current = []
-        for k, pair in enumerate(pairs):
-            new_pair = _relabel_minor(pair, s, n)
-            j = pair_index[new_pair]
-            lhs = polys[k].evaluate(img_assignment) * det_s
-            rhs = polys[j].evaluate(assignment)
-            sign = lhs / rhs
-            if sign not in (1, -1):
-                raise InvariantViolation(f"legendre relabeling failed for {pair} -> {new_pair}")
-            current.append((j, int(sign)))
-        if results is None:
-            results = current
-        elif results != current:
-            raise InvariantViolation("legendre signs disagree between samples")
-    return tuple(results)
+    M is given by its nonzero entries {(row, column): value}, 0-based.  On
+    Plucker coordinates the derivation is
+    p_S -> sum over r in S and j of M[r][j] * p_(S with r replaced by j).
+    """
+    images = []
+    for rows, eps in _plucker_rows(n):
+        image: Dict[int, int] = {}
+        for (r, j), x in matrix.items():
+            hit = r in rows and plucker_minor(n, tuple(j if q == r else q for q in rows))
+            if hit:
+                m, sign = hit
+                image[m] = image.get(m, 0) + eps * sign * x
+        images.append(image)
+    return _on_basis(n, images)
 
 
 @lru_cache(maxsize=None)
 def legendre_matrix(n: int, s: frozenset) -> RatMatrix:
-    """Action of the Legendre flip on canonical coordinates (N x N, exact)."""
-    basis = minor_basis(n)
-    relabel = _legendre_signed_relabel(n, s)
-    polys = _minor_polys(n)
-    columns = []
-    for combination in basis.minor_combinations:
-        image = Polynomial.zero()
-        for m_idx, coeff in enumerate(combination):
-            if coeff:
-                j, sign = relabel[m_idx]
-                image = image + coeff * sign * polys[j]
-        columns.append(decompose(image, basis))
-    return RatMatrix([[columns[k][i] for k in range(basis.dimension)]
-                      for i in range(basis.dimension)])
+    """Action of the Legendre flip on canonical coordinates (N x N, exact).
+
+    The flip is the row map of [I; V] that swaps identity row i with row i
+    of V for i in s and negates row i of V for i not in s.  The image plane
+    is [I; V'] times the rows now on top, whose determinant is det V_ss, so
+    minor m of V' times det V_ss is a signed Plucker coordinate of [I; V]:
+    a signed permutation of the raw minors.  The row map is an involution,
+    and the permutation is checked to square to the identity.
+    """
+    perm = []
+    for rows, eps in _plucker_rows(n):
+        m, sign = plucker_minor(n, tuple((r + n) % (2 * n) if r % n + 1 in s else r
+                                         for r in rows))
+        negated = sum(1 for r in rows if r >= n and r - n + 1 not in s)
+        perm.append((m, eps * sign * (-1) ** negated))
+    if any(perm[j] != (m, sign) for m, (j, sign) in enumerate(perm)):
+        raise InvariantViolation(f"Legendre flip {sorted(s)} does not square to the "
+                                 "identity on the minors")
+    return _on_basis(n, [{j: sign} for j, sign in perm])
 
 
 def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
     """Chart change swapping (x^i, u_i) for i in flip.
 
-    The Hessian transforms by block inversion on the flipped block (see
-    legendre_chart_matrix), an exact involution.  On the span the flip acts
-    linearly over a single det(A) denominator, so the whole transform is a
-    cached exact matrix on canonical coordinates.  The result is rescaled
-    so its leading coefficient in the frozen monomial order is 1.
+    The Hessian transforms by block inversion on the flipped block,
+
+        [A B; B^T D]  ->  [A^-1, -A^-1 B; -B^T A^-1, B^T A^-1 B - D],
+
+    an exact involution.  Cleared of the single det(A) denominator it acts
+    linearly on the span, as the cached matrix `legendre_matrix`.  The
+    result is rescaled so its leading coefficient in the frozen monomial
+    order is 1.
     """
     n = eq.n
     s = frozenset(flip)

@@ -13,11 +13,14 @@ Sending a matrix to its chart vector field reverses brackets, so the
 structure constants of the vector fields are those of the negated
 commutator -[M_p, M_q].
 
-On the minor span the induced action is linear only after subtracting the
-projective cocycle phi (0 for X, -delta_ij for L_ij, -2 u_ij for P_ij):
-phi is the derivative of the Plucker normalizing factor det(A + BU), and
-g(m) + phi_g * m always decomposes in the span.  An equation F is
-stabilized projectively iff A_v c = mu c for its coordinate vector c.
+On the minor span the induced action is linear only after adding the
+projective cocycle phi (0 for X, -delta_ij for L_ij, -2 u_ij for P_ij).
+Each minor is +-1 times a Plucker coordinate p_S of the plane [I; U], on
+which M acts as the n-th exterior-power derivation
+p_S -> sum over r in S and j of M[r][j] p_(S with r replaced by j).  Its
+p_top term is phi, so g(m) + phi_g * m is this derivation of m: linear in
+the minors, with no polynomial arithmetic.  An equation F is stabilized
+projectively iff A_v c = mu c for its coordinate vector c.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
-from .grassmann import MAEquation, MinorBasis, chart_vars, decompose, minor_basis, ucoord, uvar
+from .grassmann import MAEquation, chart_vars, derivation_matrix, ucoord, uvar
 from .linalg import RatMatrix, clear_row, rank_kernel, row_space_basis, rref
 from .poly import Polynomial, signed_sum
 
@@ -106,24 +109,6 @@ def sp_generators(n: int) -> Tuple[SpGenerator, ...]:
     return tuple(gens)
 
 
-def generator_action_matrix(g: SpGenerator, basis: MinorBasis) -> RatMatrix:
-    """N x N matrix of the generator on canonical coordinates.
-
-    Column k holds the decomposition of the corrected action on basis
-    polynomial k; the correction is what makes the decomposition succeed
-    for the quadratic generators.
-    """
-    cols = [decompose(g.corrected(p), basis) for p in basis.basis_polys]
-    return RatMatrix([[cols[k][i] for k in range(basis.dimension)]
-                      for i in range(basis.dimension)])
-
-
-@lru_cache(maxsize=None)
-def action_matrices(n: int) -> Tuple[RatMatrix, ...]:
-    basis = minor_basis(n)
-    return tuple(generator_action_matrix(g, basis) for g in sp_generators(n))
-
-
 def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
     """Nonzero entries of the 2n x 2n matrix [[A, B], [C, D]] of a generator.
 
@@ -139,6 +124,12 @@ def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
     else:  # B = -S_ij, -2 on the diagonal
         out[i, n + j] = out[j, n + i] = -1 if i != j else -2
     return out
+
+
+@lru_cache(maxsize=None)
+def action_matrices(n: int) -> Tuple[RatMatrix, ...]:
+    """Each generator's exterior-power derivation on canonical coordinates."""
+    return tuple(derivation_matrix(n, _hamiltonian_matrix(n, g)) for g in sp_generators(n))
 
 
 def _commutator(m: Dict[Tuple[int, int], int],

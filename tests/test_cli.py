@@ -129,6 +129,27 @@ def test_legendre_flip_repeated_index(capsys):
     assert out == "" and "distinct" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--k", "a,b,c"),
+    ("--k", "1/0,1,1"),
+    ("--q", "1,2,x,0,0,0,0,0,0,0"),
+    ("--q", "1,0,0,0,0,0,0,0,0,2/0"),
+])
+def test_reduce_rejects_non_rational_entries(capsys, option, value):
+    code, out, err = run(capsys, "reduce", "--builtin", "husain", option, value)
+    assert code == 2
+    assert out == "" and option in err and "Traceback" not in err
+
+
+def test_file_with_zero_denominator_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    coords = ["0"] * 41 + ["1/0"]
+    path.write_text(json.dumps({"format": "ma-equation/1", "n": 4, "coords": coords}))
+    code, out, err = run(capsys, "identify", "--file", str(path))
+    assert code == 2
+    assert out == "" and "cannot load equation" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--builtin", "hess", "--trials", "0"),
     ("classify", "--builtin", "hess", "--trials", "-1"),

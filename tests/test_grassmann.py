@@ -6,9 +6,11 @@ from random import Random
 
 import pytest
 
-from heavenly.errors import NotInSpan, NotPurelyQuadratic, UnsupportedDimension
+from heavenly import grassmann
+from heavenly.errors import InvariantViolation, NotInSpan, NotPurelyQuadratic, UnsupportedDimension
 from heavenly.grassmann import (
     LagrangePoint,
+    _minor_pairs,
     _minor_polys,
     MAEquation,
     chart_vars,
@@ -16,23 +18,88 @@ from heavenly.grassmann import (
     equation_from_json,
     equation_to_json,
     hessian_matrix,
+    legendre_matrix,
     meets_all_sublagrangians,
     minor_basis,
     minor_poly,
     osculating_containment,
     partial_legendre,
     plucker_eval,
+    plucker_minor,
     singular_locus_quadratic,
     sym_matrix,
     translate,
     uvar,
 )
-from heavenly.linalg import RatMatrix, rank_kernel
+from heavenly.linalg import RatMatrix, invert, rank_kernel
 from heavenly.poly import Polynomial, determinant
 
 
 def det_eq(n):
     return determinant(hessian_matrix(n))
+
+
+def random_symmetric(rng, n, bound=9):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(rng.randint(-bound, bound))
+    return m
+
+
+def assignment_of(matrix):
+    n = len(matrix)
+    return {f"u{i + 1}{j + 1}": matrix[i][j] for i in range(n) for j in range(i, n)}
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations (n <= 4)."""
+    from itertools import permutations
+
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def legendre_chart_matrix(matrix, flip):
+    """Image of a chart point under the Legendre flip of the given index pairs.
+
+    Block inversion on the flipped block:
+
+        [A B; B^T D]  ->  [A^-1, -A^-1 B; -B^T A^-1, B^T A^-1 B - D]
+
+    which is an exact involution.  Returns None when the flipped block is
+    singular (the point is outside the new chart).
+    """
+    n = len(matrix)
+    s = sorted(set(flip))
+    t = [i for i in range(1, n + 1) if i not in s]
+    try:
+        ainv = invert(RatMatrix([[matrix[i - 1][j - 1] for j in s] for i in s])).entries
+    except ValueError:  # the flipped block is singular
+        return None
+    out = [[Fraction(0)] * n for _ in range(n)]
+    pos = {idx: p for p, idx in enumerate(s)}
+    for ii in s:
+        for jj in s:
+            out[ii - 1][jj - 1] = ainv[pos[ii]][pos[jj]]
+    for ii in s:
+        for jj in t:
+            v = -sum((ainv[pos[ii]][pos[kk]] * Fraction(matrix[kk - 1][jj - 1]) for kk in s),
+                     Fraction(0))
+            out[ii - 1][jj - 1] = v
+            out[jj - 1][ii - 1] = v
+    for ii in t:
+        for jj in t:
+            v = sum((Fraction(matrix[p - 1][ii - 1]) * ainv[pos[p]][pos[q]]
+                     * Fraction(matrix[q - 1][jj - 1]) for p in s for q in s), Fraction(0))
+            out[ii - 1][jj - 1] = v - Fraction(matrix[ii - 1][jj - 1])
+    return out
 
 
 def random_equation(rng, n):
@@ -266,8 +333,6 @@ def test_legendre_preserves_span_n4():
 def test_legendre_matches_chart_substitution():
     # oracle: F(legendre_chart_matrix(V)) * det(V_S)^deg F is proportional to
     # the transformed polynomial at V, with one fixed scale across samples
-    from heavenly.grassmann import legendre_chart_matrix, minor_poly as mp
-
     rng = Random(71)
     for n in (2, 3, 4):
         for _ in range(2):
@@ -285,7 +350,7 @@ def test_legendre_matches_chart_substitution():
                     phi = legendre_chart_matrix(v, s)
                     if phi is None:
                         continue
-                    det_s = MAEquation.from_poly(n, mp(tuple(s), tuple(s))).value_at(v)
+                    det_s = MAEquation.from_poly(n, minor_poly(tuple(s), tuple(s))).value_at(v)
                     lhs = eq.value_at(phi) * det_s
                     rhs = out.value_at(v)
                     if rhs == 0 and lhs == 0:
@@ -299,6 +364,107 @@ def test_legendre_matches_chart_substitution():
                         scale = ratio
                     assert ratio == scale and scale != 0
                     checked += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_plucker_minor_matches_row_determinants(n):
+    # p_S = det([I; U][S, :]) for every n-subset S of the 2n rows, in a
+    # shuffled order, is sign * minor at random integer symmetric U
+    rng = Random(200 + n)
+    minors = _minor_polys(n)
+    for _ in range(3):
+        u = random_symmetric(rng, n)
+        stacked = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)] + u
+        values = [m.evaluate(assignment_of(u)) for m in minors]
+        for subset in combinations(range(2 * n), n):
+            rows = list(subset)
+            rng.shuffle(rows)
+            index, sign = plucker_minor(n, tuple(rows))
+            assert leibniz_det([stacked[r] for r in rows]) == sign * values[index]
+        assert plucker_minor(n, (0,) * n) is None
+        assert plucker_minor(n, tuple(range(n - 1)) + (n - 2,)) is None
+
+
+def reference_relabel_minor(pair, s, n):
+    """Minor label after the Legendre flip: Plucker rows swap roles on s."""
+    r, c = set(pair[0]), set(pair[1])
+    c_comp = set(range(1, n + 1)) - c
+    r_new = (r - s) | (c_comp & s)
+    c_new_comp = (c_comp - s) | (r & s)
+    c_new = set(range(1, n + 1)) - c_new_comp
+    a, b = tuple(sorted(r_new)), tuple(sorted(c_new))
+    return (a, b) if a <= b else (b, a)
+
+
+def reference_signed_relabel(n, s):
+    """Each minor's (image index, sign), pinned at sample points where no minor vanishes."""
+    pairs = _minor_pairs(n)
+    polys = _minor_polys(n)
+    pair_index = {p: k for k, p in enumerate(pairs)}
+    rng = Random(10 * n + len(s))
+    s_list = sorted(s)
+
+    def sample_point():
+        while True:
+            m = random_symmetric(rng, n)
+            assignment = assignment_of(m)
+            if all(p.evaluate(assignment) for p in polys if p.degree() > 0):
+                return m, assignment
+
+    results = None
+    for _ in range(2):
+        v, assignment = sample_point()
+        image = legendre_chart_matrix(v, s_list)
+        det_s = minor_poly(s_list, s_list).evaluate(assignment)
+        img_assignment = assignment_of(image)
+        current = []
+        for k, pair in enumerate(pairs):
+            j = pair_index[reference_relabel_minor(pair, s, n)]
+            sign = polys[k].evaluate(img_assignment) * det_s / polys[j].evaluate(assignment)
+            assert sign in (1, -1)
+            current.append((j, int(sign)))
+        assert results is None or results == current
+        results = current
+    return results
+
+
+def reference_legendre_matrix(n, s):
+    """The flip on canonical coordinates from sampled signs and polynomial decomposition."""
+    basis = minor_basis(n)
+    relabel = reference_signed_relabel(n, s)
+    polys = _minor_polys(n)
+    columns = []
+    for combination in basis.minor_combinations:
+        image = Polynomial.zero()
+        for m_idx, coeff in enumerate(combination):
+            if coeff:
+                j, sign = relabel[m_idx]
+                image = image + coeff * sign * polys[j]
+        columns.append(decompose(image, basis))
+    return RatMatrix([[columns[k][i] for k in range(basis.dimension)]
+                      for i in range(basis.dimension)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_legendre_matrix_matches_sampled_reference(n):
+    for size in range(1, n + 1):
+        for s in combinations(range(1, n + 1), size):
+            s = frozenset(s)
+            assert legendre_matrix(n, s) == reference_legendre_matrix(n, s)
+
+
+def test_legendre_sign_that_breaks_the_involution_raises(monkeypatch):
+    # a wrong sign on the image of the constant minor makes the signed
+    # permutation of flip {1} fail to square to the identity
+    real = grassmann.plucker_minor
+
+    def wrong_sign(n, rows):
+        hit = real(n, rows)
+        return (hit[0], -hit[1]) if hit and hit[0] == 0 else hit
+
+    monkeypatch.setattr(grassmann, "plucker_minor", wrong_sign)
+    with pytest.raises(InvariantViolation):
+        legendre_matrix.__wrapped__(2, frozenset({1}))
 
 
 def test_singular_locus_examples():

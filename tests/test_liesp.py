@@ -24,7 +24,7 @@ from heavenly.grassmann import (
     translate,
     uvar,
 )
-from heavenly.linalg import in_row_space
+from heavenly.linalg import RatMatrix, in_row_space
 from heavenly.liesp import (
     LieSubalgebra,
     action_matrices,
@@ -94,6 +94,17 @@ def test_corrected_action_decomposes_for_all_generators():
         for g in sp_generators(n):
             for p in basis.basis_polys:
                 decompose(g.corrected(p), basis)  # raises NotInSpan on failure
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_matrices_match_corrected_derivation_oracle(n):
+    # column k: the corrected symbolic derivation of basis polynomial k,
+    # decomposed over the basis
+    basis = minor_basis(n)
+    for g, matrix in zip(sp_generators(n), action_matrices(n)):
+        cols = [decompose(g.corrected(p), basis) for p in basis.basis_polys]
+        assert matrix == RatMatrix([[cols[k][i] for k in range(basis.dimension)]
+                                    for i in range(basis.dimension)])
 
 
 def test_action_matrices_close_under_bracket():

@@ -64,10 +64,7 @@ def hess_equation(n: int) -> MAEquation:
 
 
 def laplace(n: int) -> MAEquation:
-    total = Polynomial.zero()
-    for i in range(1, n + 1):
-        total = total + uvar(i, i)
-    return MAEquation.from_poly(n, total)
+    return MAEquation.from_poly(n, sum((uvar(i, i) for i in range(1, n + 1)), Polynomial.zero()))
 
 
 def hess_elliptic_3d() -> MAEquation:

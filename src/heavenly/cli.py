@@ -114,8 +114,10 @@ def resolve_equation(args, default_n=4) -> MAEquation:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
                 return equation_from_json(handle.read())
-        except (OSError, ValueError, ZeroDivisionError) as err:
+        except (OSError, ValueError, ZeroDivisionError, TypeError) as err:
             raise CommandError(f"cannot load equation: {err}") from None
+        except KeyError as err:
+            raise CommandError(f"cannot load equation: missing {err}") from None
     n = getattr(args, "n", None) or default_n
     return parse_equation(args.expr, n)
 
@@ -285,15 +287,13 @@ def cmd_reduce(args) -> Dict:
     if len(k) != 3:
         raise CommandError("--k needs three comma-separated rationals")
     q_entries = _csv(args.q, Fraction, "--q entries must be rationals") if args.q else []
+    if q_entries and len(q_entries) != 10:
+        raise CommandError("--q needs ten upper-triangle entries")
+    upper = iter(q_entries or [Fraction(0)] * 10)
     q = [[Fraction(0)] * 4 for _ in range(4)]
-    if q_entries:
-        if len(q_entries) != 10:
-            raise CommandError("--q needs ten upper-triangle entries")
-        pos = 0
-        for i in range(4):
-            for j in range(i, 4):
-                q[i][j] = q[j][i] = q_entries[pos]
-                pos += 1
+    for i in range(4):
+        for j in range(i, 4):
+            q[i][j] = q[j][i] = next(upper)
     sample = ReductionSample.from_values(k, q)
     reduced = travelling_wave_reduce(eq, sample)
     status = linearisable_3d(reduced, seed=args.seed)

@@ -50,11 +50,7 @@ class ExteriorForm:
             raise ValueError("cannot add forms of different dimension or degree")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c  # the constructor drops zeros
         return ExteriorForm(self.n, self.degree, out)
 
     def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
@@ -78,12 +74,7 @@ class ExteriorForm:
                 if s1 & set(k2):
                     continue
                 merged, sign = _merge_sorted(k1, k2)
-                val = c1 * c2 * sign
-                s = out.get(merged, 0) + val
-                if s:
-                    out[merged] = s
-                else:
-                    out.pop(merged, None)
+                out[merged] = out.get(merged, 0) + c1 * c2 * sign
         return ExteriorForm(self.n, self.degree + other.degree, out)
 
     def interior(self, index: int) -> "ExteriorForm":
@@ -94,12 +85,7 @@ class ExteriorForm:
                 continue
             pos = key.index(index)
             rest = key[:pos] + key[pos + 1:]
-            val = c if pos % 2 == 0 else -c
-            s = out.get(rest, 0) + val
-            if s:
-                out[rest] = s
-            else:
-                out.pop(rest, None)
+            out[rest] = out.get(rest, 0) + (c if pos % 2 == 0 else -c)
         return ExteriorForm(self.n, self.degree - 1, out)
 
     def scalar(self) -> Fraction:
@@ -123,14 +109,9 @@ class ExteriorForm:
 
 
 def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
-    merged = list(k1) + list(k2)
-    inversions = 0
-    # counting inversions of the concatenation; sizes are tiny
-    for i in range(len(merged)):
-        for j in range(i + 1, len(merged)):
-            if merged[i] > merged[j]:
-                inversions += 1
-    return tuple(sorted(merged)), (-1) ** inversions
+    """The sorted concatenation and the sign of the inversions that sort it."""
+    merged = k1 + k2
+    return tuple(sorted(merged)), (-1) ** sum(a > b for a, b in combinations(merged, 2))
 
 
 def generator_names(n: int) -> List[str]:
@@ -142,10 +123,7 @@ def monomial_form(n: int, indices: Sequence[int], coeff=1) -> ExteriorForm:
 
 
 def symplectic_form(n: int) -> ExteriorForm:
-    out = ExteriorForm(n, 2, {})
-    for i in range(n):
-        out = out + monomial_form(n, (i, n + i))
-    return out
+    return ExteriorForm(n, 2, {(i, n + i): 1 for i in range(n)})
 
 
 @lru_cache(maxsize=None)
@@ -203,10 +181,8 @@ def _effective_frame(n: int):
     _, kernel = rank_kernel(RatMatrix(rows))
     if len(kernel) != basis.dimension:
         raise InvariantViolation("effective forms have unexpected dimension")
-    effective = []
-    for vec in kernel:
-        form = ExteriorForm(n, n, {monos[i]: c for i, c in enumerate(vec) if c})
-        effective.append(form)
+    effective = [ExteriorForm(n, n, {monos[i]: c for i, c in enumerate(vec) if c})
+                 for vec in kernel]
     columns = [decompose(pullback_polynomial(f), basis) for f in effective]
     iso = RatMatrix([[columns[k][i] for k in range(len(columns))]
                      for i in range(basis.dimension)])
@@ -237,14 +213,8 @@ def b_omega_matrix(eq: MAEquation) -> RatMatrix:
     omega = symplectic_form(n)
     key, vol = volume_normalizer(n)
     contractions = [w.interior(a) for a in range(2 * n)]
-    entries = []
-    for a in range(2 * n):
-        row = []
-        for b in range(2 * n):
-            top = contractions[a].wedge(contractions[b]).wedge(omega)
-            row.append(top.terms.get(key, Fraction(0)) / vol)
-        entries.append(row)
-    return RatMatrix(entries)
+    return RatMatrix([[x.wedge(y).wedge(omega).terms.get(key, Fraction(0)) / vol
+                       for y in contractions] for x in contractions])
 
 
 def symplectic_matrix(n: int) -> RatMatrix:

@@ -19,9 +19,9 @@ is its minor on the rows S.  Laplace expansion along the identity rows
 gives p_S = eps * det U[R, C] for sorted S = T + (n + R), with C the
 complement of T in [n] and eps the sign of the permutation (T, C).  So a
 2n x 2n matrix acts on the raw minors through its n-th exterior power, in
-integers: the sp(2n) action matrices (`derivation_matrix`) and the
-Legendre flips (`legendre_matrix`) take one `decompose` per raw minor and
-no polynomial arithmetic.
+integers: the sp(2n) action matrices (`derivation_matrix`), the Legendre
+flips (`legendre_matrix`), translations and travelling-wave reductions
+(`pullback_coords`) use no polynomial arithmetic.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
                      UnsupportedDimension)
-from .linalg import RatMatrix, rank_kernel, rref
+from .linalg import RatMatrix, over_common_denominator, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
 
 MIN_DIM, MAX_DIM = 2, 4
@@ -162,11 +162,12 @@ def _mono_strs(monos):
 
 
 def combine(coords: Sequence, basis: MinorBasis) -> Polynomial:
-    total = Polynomial.zero()
+    terms: Dict[Monomial, Fraction] = {}
     for c, p in zip(coords, basis.basis_polys):
         if c:
-            total = total + Fraction(c) * p
-    return total
+            for m, a in p.terms.items():
+                terms[m] = terms.get(m, 0) + c * a
+    return Polynomial(terms)
 
 
 @dataclass(frozen=True)
@@ -227,10 +228,8 @@ class LagrangePoint:
         m = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("matrix shape mismatch")
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != m[j][i]:
-                    raise ValueError("matrix must be symmetric")
+        if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
         return cls(n, m, frozenset(chart))
 
     @classmethod
@@ -257,17 +256,14 @@ def plucker_eval(point: LagrangePoint, basis: MinorBasis) -> List[Fraction]:
 
 
 def translate(eq: MAEquation, u0: Sequence[Sequence]) -> MAEquation:
-    """The equation in the chart shifted by U0, i.e. poly(U + U0)."""
-    n = eq.n
-    mapping = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            c = Fraction(u0[i - 1][j - 1])
-            if c:
-                mapping[ucoord(i, j)] = uvar(i, j) + c
-    if not mapping:
+    """The equation in the chart shifted by U0, i.e. poly(U + U0).
+
+    U0 is read off its upper triangle.  The shift is the n-th exterior power
+    of [[I, 0], [U0, I]] acting on the raw minors (`pullback_coords`).
+    """
+    if not any(Fraction(u0[i][j]) for i in range(eq.n) for j in range(i, eq.n)):
         return eq
-    return MAEquation.from_poly(n, eq.poly.subs(mapping))
+    return MAEquation.from_coords(eq.n, pullback_coords(eq, shift=u0))
 
 
 # -- Plucker coordinates (see the module docstring) -------------------------
@@ -275,13 +271,8 @@ def translate(eq: MAEquation, u0: Sequence[Sequence]) -> MAEquation:
 
 @lru_cache(maxsize=None)
 def _minor_pairs(n: int) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    pairs = []
-    for size in range(n + 1):
-        subsets = list(combinations(range(1, n + 1), size))
-        for a in range(len(subsets)):
-            for b in range(a, len(subsets)):
-                pairs.append((subsets[a], subsets[b]))
-    return tuple(pairs)
+    return tuple(pair for size in range(n + 1) for pair in
+                 combinations_with_replacement(combinations(range(1, n + 1), size), 2))
 
 
 @lru_cache(maxsize=None)
@@ -291,6 +282,13 @@ def _minor_polys(n: int) -> Tuple[Polynomial, ...]:
 
 def _permutation_sign(seq: Sequence[int]) -> int:
     return (-1) ** sum(1 for a, b in combinations(seq, 2) if a > b)
+
+
+def _signed_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> Tuple[int, int]:
+    """(raw minor m, sign) with det V[rows, cols] = sign * minor m, V symmetric."""
+    r, c = tuple(sorted(rows)), tuple(sorted(cols))
+    return (_minor_pairs(n).index((min(r, c), max(r, c))),
+            _permutation_sign(rows) * _permutation_sign(cols))
 
 
 def plucker_minor(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -304,8 +302,8 @@ def plucker_minor(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
     top = tuple(r + 1 for r in sorted(rows) if r < n)
     bottom = tuple(r + 1 - n for r in sorted(rows) if r >= n)
     cols = tuple(i for i in range(1, n + 1) if i not in top)
-    sign = _permutation_sign(rows) * _permutation_sign(top + cols)
-    return _minor_pairs(n).index((min(bottom, cols), max(bottom, cols))), sign
+    return (_signed_minor(n, bottom, cols)[0],
+            _permutation_sign(rows) * _permutation_sign(top + cols))
 
 
 @lru_cache(maxsize=None)
@@ -320,32 +318,29 @@ def _plucker_rows(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _minor_maps(n: int) -> Tuple[Tuple[Tuple[Tuple[int, Fraction], ...], ...], ...]:
-    """Nonzero entries of each basis element over the raw minors, and of each
-    raw minor over the basis (decompose checks that it lies in the span)."""
+def _minor_maps(n: int):
+    """Each basis element over the raw minors, and each raw minor over the
+    basis (decompose checks that it lies in the span), as `_apply` tables.
+
+    Both maps are integral for 2 <= n <= 4; the build checks it."""
     basis = minor_basis(n)
-    combos = tuple(tuple((m, a) for m, a in enumerate(c) if a) for c in basis.minor_combinations)
-    return combos, tuple(tuple((k, c) for k, c in enumerate(decompose(p, basis)) if c)
-                         for p in _minor_polys(n))
+    maps = ([[(m, a) for m, a in enumerate(c) if a] for c in basis.minor_combinations],
+            [[(k, c) for k, c in enumerate(decompose(p, basis)) if c] for p in _minor_polys(n)])
+    if any(x.denominator != 1 for rows in maps for row in rows for _, x in row):
+        raise InvariantViolation(f"the raw-minor maps of n={n} are not integral")
+    return tuple(tuple(tuple((j, int(x), 0) for j, x in row) for row in rows) for rows in maps)
 
 
-def _on_basis(n: int, images: Sequence[Dict[int, int]]) -> RatMatrix:
-    """Canonical-coordinate matrix of the map raw minor m -> images[m].
-
-    images[m] = {j: c} stands for sum_j c * minor j.  Column k is basis k's
-    minor combination of the images, written over the basis.
-    """
+def _on_basis(n: int, table) -> RatMatrix:
+    """Canonical-coordinate matrix of the raw-minor map `table` (as `_apply`
+    takes it): column k is basis k's minor combination, mapped, written over
+    the basis."""
     combos, over_basis = _minor_maps(n)
-    dim = len(combos)
-    columns = []
-    for combination in combos:
-        col = [Fraction(0)] * dim
-        for m, a in combination:
-            for j, b in images[m].items():
-                for k, c in over_basis[j]:
-                    col[k] += a * b * c
-        columns.append(col)
-    return RatMatrix([[columns[k][i] for k in range(dim)] for i in range(dim)])
+    size = len(table)
+    columns = [_apply(_apply(_apply([1], [c], size), table, size), over_basis, len(combos))
+               for c in combos]
+    zero = Fraction(0)  # shared: most entries are 0
+    return RatMatrix([[Fraction(x) if x else zero for x in row] for row in zip(*columns)])
 
 
 def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]) -> RatMatrix:
@@ -355,16 +350,14 @@ def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]) -> RatMatrix:
     Plucker coordinates the derivation is
     p_S -> sum over r in S and j of M[r][j] * p_(S with r replaced by j).
     """
-    images = []
+    table = []
     for rows, eps in _plucker_rows(n):
-        image: Dict[int, int] = {}
+        table.append([])
         for (r, j), x in matrix.items():
             hit = r in rows and plucker_minor(n, tuple(j if q == r else q for q in rows))
             if hit:
-                m, sign = hit
-                image[m] = image.get(m, 0) + eps * sign * x
-        images.append(image)
-    return _on_basis(n, images)
+                table[-1].append((hit[0], eps * hit[1] * x, 0))
+    return _on_basis(n, table)
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +380,100 @@ def legendre_matrix(n: int, s: frozenset) -> RatMatrix:
     if any(perm[j] != (m, sign) for m, (j, sign) in enumerate(perm)):
         raise InvariantViolation(f"Legendre flip {sorted(s)} does not square to the "
                                  "identity on the minors")
-    return _on_basis(n, [{j: sign} for j, sign in perm])
+    return _on_basis(n, [[(j, sign, 0)] for j, sign in perm])
+
+
+def _apply(vec: Sequence[int], table, size: int, weights: Sequence[int] = (1,)) -> List[int]:
+    """The integer vector out with out[m] += x * c * weights[q] for every
+    entry (m, c, q) of table[i], x = vec[i]: a sparse map of the raw minors."""
+    out = [0] * size
+    for x, row in zip(vec, table):
+        if x:
+            for m, c, q in row:
+                out[m] += c * weights[q] * x
+    return out
+
+
+@lru_cache(maxsize=None)
+def _laplace_table(n: int):
+    """Each raw minor (R, C) by first-row expansion: entries (sign, index
+    (r - 1) * n + c - 1 of the entry (r, c), raw minor it multiplies)."""
+    return [[((-1) ** j * sign, (r[0] - 1) * n + col - 1, m) for j, col in enumerate(c)
+             for m, sign in [_signed_minor(n, r[1:], c[:j] + c[j + 1:])]]
+            for r, c in _minor_pairs(n)]
+
+
+@lru_cache(maxsize=None)
+def _shift_table(n: int):
+    """det(X + T)[R, C] is the sum over A in R, B in C with |A| = |B| of
+    (-1)^(pos A + pos B) det X[A, B] det T[R - A, C - B]: entries (raw minor
+    (A, B) of X, sign, raw minor (R - A, C - B) of T)."""
+    out = []
+    for r, c in _minor_pairs(n):
+        out.append([])
+        for size in range(len(r) + 1):
+            for pa, pb in product(combinations(range(len(r)), size), repeat=2):
+                a, b = [[vs[i] for i in ps] for vs, ps in ((r, pa), (c, pb))]
+                rest = [[v for v in vs if v not in ws] for vs, ws in ((r, a), (c, b))]
+                out[-1].append((_signed_minor(n, a, b)[0], (-1) ** (sum(pa) + sum(pb)),
+                                _signed_minor(n, *rest)[0]))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _restrict_table(n: int, perm: Tuple[int, ...], m: int):
+    """det(L^T W L)[R, C] for L = K P, with K = [I | k] (m = n - 1) or I
+    (m = n) and P the permutation matrix: column c of L is e_perm(c), or k
+    when perm(c) = n.  By Cauchy-Binet it is the sum over A, B of
+    det L[A, R] det W[A, B] det L[B, C].  Taking rows A in the order of the
+    columns, det L[A, R] is 1 on A = perm(R) and, when perm(R) holds n, it
+    is k_a on A = perm(R) with n replaced by a.  Entries: (minor (A, B) of
+    W, sign, q), weighted by kk[q // (m + 1)] * kk[q % (m + 1)], where
+    kk[m] = 1 and kk[a - 1] = k_a."""
+    def rows_of(cols):
+        images = [perm[c - 1] for c in cols]
+        if n not in images or m == n:
+            return [(images, m)]
+        return [([a if i == n else i for i in images], a - 1)
+                for a in range(1, n) if a not in images]
+    return [[_signed_minor(m, a, b) + (qa * (m + 1) + qb,)
+             for a, qa in rows_of(r) for b, qb in rows_of(c)] for r, c in _minor_pairs(n)]
+
+
+def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
+                    shift: Optional[Sequence[Sequence]] = None,
+                    k: Optional[Sequence] = None) -> List[Fraction]:
+    """Canonical coordinates of W -> F(U) with U = L^T W L + P^T T P.
+
+    F is eq's polynomial and L = K P as in `_restrict_table`: `perm`
+    (1-based images, identity by default) relabels the chart indices so
+    that U[a][b] = V[perm(a)][perm(b)], `shift` is the symmetric T (read off
+    its upper triangle), and `k`, if given, restricts V = K^T W K + T to
+    K = [I | k], one dimension down.  Each step is a sparse integer map of
+    the raw minors: the shift is the n-th exterior power of
+    [[I, 0], [T, I]], det(X + T)[R, C] = sum (-1)^(pos A + pos B)
+    det X[A, B] det T[R - A, C - B], and the rest is Cauchy-Binet.  eq's
+    coordinates, T and k are cleared of denominators first, so only the
+    output coordinates are Fractions.
+    """
+    n = eq.n
+    perm = tuple(perm) or tuple(range(1, n + 1))
+    coords, den = over_common_denominator(eq.coords)
+    raw = _apply(coords, _minor_maps(n)[0], len(_minor_pairs(n)))
+    if shift is not None:
+        t, d = over_common_denominator([Fraction(shift[min(p, q) - 1][max(p, q) - 1])
+                                        for p in perm for q in perm])
+        minors: List[int] = []  # the raw minors of P^T t P, then scaled by d^(n - size)
+        for terms in _laplace_table(n):
+            minors.append(sum([s * t[f] * minors[q] for s, f, q in terms]) if terms else 1)
+        minors = [v * d ** (n - len(r)) for v, (r, _) in zip(minors, _minor_pairs(n))]
+        raw, den = _apply(raw, _shift_table(n), len(raw), minors), den * d ** n
+    m, kk = (n - 1, [Fraction(x) for x in k]) if k is not None else (n, [0] * n)
+    kk, d = over_common_denominator(kk + [1])
+    raw = _apply(raw, _restrict_table(n, perm, m), len(_minor_pairs(m)),
+                 [a * b for a in kk for b in kk])
+    return [Fraction(x, den * d * d) for x in
+            _apply(raw, _minor_maps(m)[1], minor_basis(m).dimension)]
 
 
 def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
@@ -444,15 +530,9 @@ def singular_locus_quadratic(eq: MAEquation):
     h = quadratic_form_matrix(eq)
     rank, kernel = rank_kernel(h)
     names = chart_vars(eq.n)
-    directions = []
-    for vec in kernel:
-        m = [[Fraction(0)] * eq.n for _ in range(eq.n)]
-        for k, name in enumerate(names):
-            i, j = int(name[1]), int(name[2])
-            m[i - 1][j - 1] = vec[k]
-            m[j - 1][i - 1] = vec[k]
-        directions.append(m)
-    return len(names) - rank, directions
+    return len(names) - rank, [sym_matrix(eq.n, {(int(v[1]), int(v[2])): x
+                                                  for v, x in zip(names, vec)})
+                               for vec in kernel]
 
 
 def meets_all_sublagrangians(eq: MAEquation, kernel_basis: Sequence,
@@ -483,17 +563,8 @@ def meets_all_sublagrangians(eq: MAEquation, kernel_basis: Sequence,
         if rank == n:
             return True
     # symbolic fallback: some n x n minor of [B_k x] must be a nonzero polynomial
-    xs = [Polynomial.variable(f"x{i+1}") for i in range(n)]
-    sym_cols = []
-    for m in mats:
-        col = []
-        for i in range(n):
-            acc = Polynomial.zero()
-            for j in range(n):
-                if m.entries[i][j]:
-                    acc = acc + m.entries[i][j] * xs[j]
-            col.append(acc)
-        sym_cols.append(col)
+    sym_cols = [[Polynomial({((f"x{j + 1}", 1),): m.entries[i][j] for j in range(n)})
+                 for i in range(n)] for m in mats]
     for pick in combinations(range(d), n):
         det = determinant([[sym_cols[k][i] for k in pick] for i in range(n)])
         if not det.is_zero():
@@ -531,6 +602,7 @@ def equation_to_json(eq: MAEquation) -> str:
 
 def equation_from_json(text: str) -> MAEquation:
     data = json.loads(text)
-    if data.get("format") != FORMAT_TAG:
-        raise ValueError(f"unsupported equation format: {data.get('format')!r}")
+    tag = data.get("format") if isinstance(data, dict) else type(data).__name__
+    if tag != FORMAT_TAG:
+        raise ValueError(f"unsupported equation format: {tag!r}")
     return MAEquation.from_coords(int(data["n"]), [Fraction(c) for c in data["coords"]])

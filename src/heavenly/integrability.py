@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NoSamplePoint, NotInEF, ZeroReduction
 from .forms import b_omega_lambda
@@ -26,9 +26,9 @@ from .grassmann import (
     MAEquation,
     osculating_containment,
     partial_legendre,
+    pullback_coords,
     singular_locus_quadratic,
     meets_all_sublagrangians,
-    ucoord,
     uvar,
 )
 from .liesp import is_reductive, nondegenerate, symmetry_algebra
@@ -52,10 +52,8 @@ class ReductionSample:
         qq = tuple(tuple(Fraction(x) for x in row) for row in q)
         if len(qq) != 4 or any(len(r) != 4 for r in qq):
             raise ValueError("quadratic shift must be a 4x4 matrix")
-        for i in range(4):
-            for j in range(4):
-                if qq[i][j] != qq[j][i]:
-                    raise ValueError("quadratic shift must be symmetric")
+        if any(qq[i][j] != qq[j][i] for i in range(4) for j in range(i)):
+            raise ValueError("quadratic shift must be symmetric")
         return cls(kk, qq)
 
     @classmethod
@@ -76,37 +74,20 @@ def travelling_wave_reduce(eq: MAEquation, sample: ReductionSample,
                            perm: Sequence[int] = (1, 2, 3, 4)) -> MAEquation:
     """Reduce along u = w(x1 + a x4, x2 + b x4, x3 + c x4) + Q(x, x).
 
-    `perm` (1-based images) relabels the chart indices first, as
-    `permute_equation` does: u_ab goes to the reduction's image of
-    u_{perm(a) perm(b)}, so the relabelling and the reduction are one
-    substitution.
+    The Hessian becomes U = K^T W K + 2Q with K = [I3 | k], after `perm`
+    (1-based images) relabels the chart indices as `permute_equation` does:
+    u_ab goes to the reduction's image of u_{perm(a) perm(b)}.  So the
+    reduction is a linear map of the raw minors, from the 42 coordinates to
+    the 14 (`pullback_coords`): relabel, shift by 2Q, restrict to K^T W K.
+    An image of 0 is a `ZeroReduction`.
     """
     if eq.n != 4:
         raise ValueError("travelling-wave reduction starts from n = 4")
-    k = sample.k
-    q = sample.q
-    image: Dict[str, Polynomial] = {}
-    for a in range(1, 4):
-        for b in range(a, 4):
-            image[ucoord(a, b)] = uvar(a, b) + 2 * q[a - 1][b - 1]
-    for a in range(1, 4):
-        img = Polynomial.constant(2 * q[a - 1][3])
-        for b in range(1, 4):
-            if k[b - 1]:
-                img = img + k[b - 1] * uvar(a, b)
-        image[ucoord(a, 4)] = img
-    img44 = Polynomial.constant(2 * q[3][3])
-    for a in range(1, 4):
-        for b in range(1, 4):
-            if k[a - 1] and k[b - 1]:
-                img44 = img44 + k[a - 1] * k[b - 1] * uvar(a, b)
-    image[ucoord(4, 4)] = img44
-    mapping = {ucoord(a, b): image[ucoord(perm[a - 1], perm[b - 1])]
-               for a in range(1, 5) for b in range(a, 5)}
-    reduced = eq.poly.subs(mapping)
-    if reduced.is_zero():
+    shift = [[2 * x for x in row] for row in sample.q]
+    coords = pullback_coords(eq, perm, shift, sample.k)
+    if not any(coords):
         raise ZeroReduction("reduction vanished identically in this direction")
-    return MAEquation.from_poly(3, reduced)
+    return MAEquation.from_coords(3, coords)
 
 
 class Linearisability(Enum):
@@ -132,12 +113,9 @@ def linearisable_3d(eq: MAEquation, seed: int = 0, rng: Optional[Random] = None
 
 
 def permute_equation(eq: MAEquation, perm: Sequence[int]) -> MAEquation:
-    """Relabel chart indices by the permutation (1-based images)."""
-    mapping = {}
-    for a in range(1, eq.n + 1):
-        for b in range(a, eq.n + 1):
-            mapping[ucoord(a, b)] = uvar(perm[a - 1], perm[b - 1])
-    return MAEquation.from_poly(eq.n, eq.poly.subs(mapping))
+    """Relabel chart indices by the permutation (1-based images): u_ab goes to
+    u_{perm(a) perm(b)}, a signed permutation of the raw minors."""
+    return MAEquation.from_coords(eq.n, pullback_coords(eq, perm))
 
 
 def find_quadratic_chart(eq: MAEquation):
@@ -338,13 +316,8 @@ class QuarticPair:
 
     def reconstruct(self) -> MAEquation:
         e, f = ef_basis()
-        total = Polynomial.zero()
-        for c, poly in zip(self.p.coeffs(), e):
-            if c:
-                total = total + c * poly
-        for c, poly in zip(self.q.coeffs(), f):
-            if c:
-                total = total - c * poly
+        weights = self.p.coeffs() + [-c for c in self.q.coeffs()]
+        total = sum((c * poly for c, poly in zip(weights, e + f) if c), Polynomial.zero())
         if total.is_zero():
             raise ValueError("zero quartic pair")
         return MAEquation.from_poly(4, total)

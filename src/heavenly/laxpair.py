@@ -130,12 +130,7 @@ def sample_on_variety(eq: MAEquation, rng: Random, budget: int = 100
 
 def _evaluate_keep_lambda(poly: Polynomial, values: Dict[str, Fraction]) -> Polynomial:
     """Substitute jet values, leaving lam symbolic."""
-    mapping: Dict[str, Polynomial] = {}
-    for var in poly.variables():
-        if var == LAMBDA:
-            continue
-        mapping[var] = Polynomial.constant(values[var])
-    return poly.subs(mapping)
+    return poly.subs({var: values[var] for var in poly.variables() if var != LAMBDA})
 
 
 @dataclass

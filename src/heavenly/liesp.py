@@ -286,14 +286,8 @@ def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
     mats = action_matrices(n)
     c = clear_row(eq.coords)
     g = len(mats)
-    rows = [[Fraction(0)] * (g + 1) for _ in range(len(c))]
-    for k, m in enumerate(mats):
-        col = m.mat_vec(c)
-        for i in range(len(c)):
-            rows[i][k] = col[i]
-    for i in range(len(c)):
-        rows[i][g] = -c[i]
-    _, kernel = rank_kernel(RatMatrix(rows))
+    columns = [m.mat_vec(c) for m in mats] + [[-x for x in c]]
+    _, kernel = rank_kernel(RatMatrix([list(row) for row in zip(*columns)]))
     basis = [tuple(vec[:g]) for vec in kernel]
     eigen = tuple(vec[g] for vec in kernel)
     return LieSubalgebra(n, basis, eigenvalues=eigen)

@@ -42,7 +42,7 @@ class RatMatrix:
         """(row denominator, nonzero (column, numerator) pairs) of each row."""
         out = []
         for row in self.entries:
-            nums, den = _over_common_denominator(row)
+            nums, den = over_common_denominator(row)
             out.append((den, [(j, x) for j, x in enumerate(nums) if x]))
         return out
 
@@ -58,7 +58,7 @@ class RatMatrix:
         """Product with a vector of ints or Fractions."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
-        w, d = _over_common_denominator(v)
+        w, d = over_common_denominator(v)
         return [Fraction(sum([x * w[j] for j, x in row]), den * d)
                 for den, row in self.integer_rows]
 
@@ -83,7 +83,7 @@ class RatMatrix:
         return f"RatMatrix({self.entries})"
 
 
-def _over_common_denominator(values: Sequence) -> Tuple[List[int], int]:
+def over_common_denominator(values: Sequence) -> Tuple[List[int], int]:
     """Integer numerators of ints or Fractions over their least common denominator."""
     m = lcm(*[x.denominator for x in values])
     return [x.numerator * (m // x.denominator) for x in values], m
@@ -97,7 +97,7 @@ def _primitive(row: List[int]) -> List[int]:
 
 def clear_row(row: Sequence) -> List[int]:
     """Primitive integer row proportional to a row of ints or Fractions."""
-    return _primitive(_over_common_denominator(row)[0])
+    return _primitive(over_common_denominator(row)[0])
 
 
 def rref(entries: Sequence[Sequence[Fraction]]) -> Tuple[List[int], List[Vector]]:
@@ -200,19 +200,6 @@ def solve_linear(m: RatMatrix, b: Sequence) -> Optional[Tuple[Vector, List[Vecto
     for i, c in enumerate(pivots):
         particular[c] = reduced[i][m.cols]
     return particular, _kernel(pivots, reduced, m.cols)
-
-
-def invert(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square matrix; raises on singular input."""
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = m.rows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    pivots, reduced = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return RatMatrix([row[n:] for row in reduced])
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> List[Vector]:

@@ -17,6 +17,10 @@ from .errors import ParseError
 from .grassmann import MAEquation, hessian_matrix, ucoord
 from .poly import Polynomial, determinant
 
+# Bound on the term count of a * b or a ^ e, estimated before expanding as
+# len(a) * len(b) or len(a) ** e; equations have at most a few hundred terms.
+MAX_EXPANSION_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class Token:
@@ -120,10 +124,14 @@ class _Parser:
                 left = left + right if tok.text == "+" else left - right
             elif tok.kind == "OP" and tok.text == "*" and min_power < 20:
                 self.advance()
-                left = left * self.expression(20)
+                right = self.expression(20)
+                _bound(len(left.terms) * len(right.terms), tok)
+                left = left * right
             elif tok.kind == "OP" and tok.text == "^" and min_power <= 30:
                 self.advance()
-                left = left ** self.exponent()
+                e = self.exponent()
+                _bound(len(left.terms) ** min(e, 64), tok)  # e >= 64 is over it once len >= 2
+                left = left ** e
             else:
                 return left
 
@@ -171,6 +179,12 @@ class _Parser:
                     return Polynomial.variable(name)
                 raise ParseError(f"direction {name} is out of range", tok.position)
         raise ParseError(f"unknown identifier {name!r}", tok.position)
+
+
+def _bound(estimate: int, tok: Token) -> None:
+    if estimate > MAX_EXPANSION_TERMS:
+        raise ParseError(f"'{tok.text}' would expand to more than {MAX_EXPANSION_TERMS} terms",
+                         tok.position)
 
 
 def parse_polynomial(text: str, n: int, extended: bool = False) -> Polynomial:

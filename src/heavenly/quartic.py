@@ -45,11 +45,7 @@ class BinaryQuartic:
         return not any(self.coeffs())
 
     def degree(self) -> int:
-        cs = self.coeffs()
-        for d in range(4, -1, -1):
-            if cs[d]:
-                return d
-        return -1
+        return max((d for d, c in enumerate(self.coeffs()) if c), default=-1)
 
     def __str__(self):
         pieces = []

@@ -1,6 +1,7 @@
 """End-to-end command tests: reports, exit codes, file round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -148,6 +149,28 @@ def test_file_with_zero_denominator_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "identify", "--file", str(path))
     assert code == 2
     assert out == "" and "cannot load equation" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    {"format": "ma-equation/1", "coords": ["1"] + ["0"] * 41},
+    [{"format": "ma-equation/1", "n": 4, "coords": ["1"] + ["0"] * 41}],
+    {"format": "ma-equation/1", "n": 4, "coords": [None] + ["0"] * 41},
+], ids=["missing-n", "top-level-list", "null-coordinate"])
+def test_malformed_equation_file_rejected(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "identify", "--file", str(path))
+    assert code == 2
+    assert out == "" and "cannot load equation" in err and "Traceback" not in err
+
+
+def test_expression_that_would_blow_up_is_rejected_quickly(capsys):
+    started = time.monotonic()
+    code, out, err = run(capsys, "classify", "--expr", "(u11+u12+u13+u14+u22+u23)^20",
+                         "--n", "4")
+    assert time.monotonic() - started < 2
+    assert code == 2
+    assert out == "" and "would expand to more than" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -31,8 +31,9 @@ from heavenly.grassmann import (
     translate,
     uvar,
 )
-from heavenly.linalg import RatMatrix, invert, rank_kernel
+from heavenly.linalg import RatMatrix, rank_kernel
 from heavenly.poly import Polynomial, determinant
+from test_linalg import invert
 
 
 def det_eq(n):
@@ -280,7 +281,45 @@ def test_translate_preserves_span_randomly():
             for i in range(n):
                 for j in range(i):
                     u0[i][j] = u0[j][i]
-            translate(eq, u0)  # raises NotInSpan on failure
+            assert translate(eq, u0).n == n  # from_coords rejects a wrong length
+
+
+def subs_translate(eq, u0):
+    """Reference: translate as it was computed before the raw-minor map, by
+    substituting u_ij + U0_ij into the polynomial and decomposing."""
+    n = eq.n
+    mapping = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            c = Fraction(u0[i - 1][j - 1])
+            if c:
+                mapping[f"u{i}{j}"] = uvar(i, j) + c
+    if not mapping:
+        return eq
+    return MAEquation.from_poly(n, eq.poly.subs(mapping))
+
+
+def test_translate_matches_substitution_reference():
+    from heavenly import catalog
+
+    rng = Random(71)
+    equations = [catalog.builtin_equation(name) for name in catalog.builtin_names()]
+    equations += [partial_legendre(eq, (1, 2)) for eq in equations if eq.n == 4][:3]
+    equations += [random_equation(rng, n) for n in (2, 3, 4) for _ in range(3)]
+    for eq in equations:
+        n = eq.n
+        for denominators in ((1,), (1, 2, 3, 7)):
+            u0 = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7:  # some entries stay zero
+                        u0[i][j] = u0[j][i] = Fraction(rng.randint(-5, 5),
+                                                       rng.choice(denominators))
+            moved = translate(eq, u0)
+            assert moved == subs_translate(eq, u0)
+            assert moved.coords == tuple(decompose(moved.poly, eq.basis))
+    eq = catalog.husain()
+    assert translate(eq, [[0] * 4 for _ in range(4)]) is eq
 
 
 def test_legendre_degenerate_pair_to_linear():

@@ -372,3 +372,125 @@ def test_reduction_with_permutation_equals_permuted_reduction():
                     travelling_wave_reduce(eq, sample, perm)
                 continue
             assert travelling_wave_reduce(eq, sample, perm) == expected
+
+
+def subs_reduce(eq, sample, perm=(1, 2, 3, 4)):
+    """Reference: the reduction as it was computed before the raw-minor map,
+    by substituting the images of the u_ab into the polynomial and
+    decomposing the result over the 3D basis."""
+    from heavenly.errors import ZeroReduction
+
+    k, q = sample.k, sample.q
+    image = {}
+    for a in range(1, 4):
+        for b in range(a, 4):
+            image[ucoord(a, b)] = uvar(a, b) + 2 * q[a - 1][b - 1]
+    for a in range(1, 4):
+        img = Polynomial.constant(2 * q[a - 1][3])
+        for b in range(1, 4):
+            if k[b - 1]:
+                img = img + k[b - 1] * uvar(a, b)
+        image[ucoord(a, 4)] = img
+    img44 = Polynomial.constant(2 * q[3][3])
+    for a in range(1, 4):
+        for b in range(1, 4):
+            if k[a - 1] and k[b - 1]:
+                img44 = img44 + k[a - 1] * k[b - 1] * uvar(a, b)
+    image[ucoord(4, 4)] = img44
+    mapping = {ucoord(a, b): image[ucoord(perm[a - 1], perm[b - 1])]
+               for a in range(1, 5) for b in range(a, 5)}
+    reduced = eq.poly.subs(mapping)
+    if reduced.is_zero():
+        raise ZeroReduction("reduction vanished identically in this direction")
+    return MAEquation.from_poly(3, reduced)
+
+
+def subs_permute(eq, perm):
+    """Reference: the relabelling as a substitution u_ab -> u_{perm(a) perm(b)}."""
+    mapping = {ucoord(a, b): uvar(perm[a - 1], perm[b - 1])
+               for a in range(1, eq.n + 1) for b in range(a, eq.n + 1)}
+    return MAEquation.from_poly(eq.n, eq.poly.subs(mapping))
+
+
+def sheared_pair_equations(rng, count):
+    """Reconstructed quartic pairs under random SL(2, Z) shears of p and q."""
+    def shear(quartic):
+        a, b, c, d = 1, 0, 0, 1
+        for _ in range(3):
+            t = rng.randint(-2, 2)
+            if rng.random() < 0.5:
+                a, b = a + t * c, b + t * d
+            else:
+                c, d = c + t * a, d + t * b
+        return sl2_transform(quartic, a, b, c, d) if not quartic.is_zero() else quartic
+    cases = rng.sample(sorted(CASE_PAIRS), count)
+    return [QuarticPair(shear(CASE_PAIRS[c][0]), shear(CASE_PAIRS[c][1])).reconstruct()
+            for c in cases]
+
+
+def reduction_samples(rng):
+    """A random sample, one with zero direction entries, one with Q = 0, one
+    with a non-integral shift such as `reduce --q` accepts, and k = Q = 0."""
+    def q_matrix(denominators):
+        q = [[Fraction(0)] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                q[i][j] = q[j][i] = Fraction(rng.randint(-4, 4), rng.choice(denominators))
+        return q
+    k = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
+    k_zeros = [x if rng.random() < 0.4 else Fraction(0) for x in k]
+    return [ReductionSample.random(rng),
+            ReductionSample.from_values(k_zeros, q_matrix((1, 2))),
+            ReductionSample.zero(k),
+            ReductionSample.from_values(k, q_matrix((3, 5, 7))),
+            ReductionSample.zero()]
+
+
+def test_reduction_matches_substitution_reference():
+    from itertools import permutations
+
+    from heavenly.errors import ZeroReduction
+    from heavenly.grassmann import translate
+
+    rng = Random(83)
+    builtins = [catalog.builtin_equation(name) for name in catalog.builtin_names()
+                if catalog.builtin_equation(name).n == 4]
+    shift = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
+    shift = [[shift[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)]
+    equations = (builtins
+                 + [partial_legendre(catalog.husain(), (1, 3)),
+                    partial_legendre(catalog.general_heavenly(), (2,))]
+                 + [translate(catalog.first_heavenly(), shift),
+                    translate(catalog.modified_heavenly(), shift)]
+                 + sheared_pair_equations(rng, 3)
+                 + [MAEquation.from_poly(4, uvar(4, 4)),
+                    MAEquation.from_poly(4, uvar(1, 4) * uvar(2, 4) - uvar(1, 2) * uvar(4, 4))])
+    zeros = 0
+    for eq in equations:
+        for i, perm in enumerate(permutations((1, 2, 3, 4))):
+            sample = reduction_samples(rng)[i % 5]
+            try:
+                expected = subs_reduce(eq, sample, perm)
+            except ZeroReduction:
+                zeros += 1
+                with pytest.raises(ZeroReduction):
+                    travelling_wave_reduce(eq, sample, perm)
+                continue
+            assert travelling_wave_reduce(eq, sample, perm) == expected
+        perm = tuple(rng.sample((1, 2, 3, 4), 4))
+        assert permute_equation(eq, perm) == subs_permute(eq, perm)
+    assert zeros > 0
+
+
+def test_integrable_4d_makes_no_substitution(monkeypatch):
+    calls = []
+    original = Polynomial.subs
+
+    def counting(self, mapping):
+        calls.append(mapping)
+        return original(self, mapping)
+
+    monkeypatch.setattr(Polynomial, "subs", counting)
+    report = integrable_4d(catalog.husain())
+    assert report.samples_run > 0
+    assert calls == []

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from heavenly.linalg import RatMatrix, rank_kernel, solve_linear, row_space_basis, in_row_space
-from heavenly.linalg import invert, rref
+from heavenly.linalg import rref
 
 
 def naive_rank(entries):
@@ -216,6 +216,23 @@ def test_rref_matches_sympy():
         assert pivots == list(oracle_pivots)
         assert reduced == [_from_sympy(oracle.row(i)) for i in range(len(pivots))]
         assert all(x == 0 for i in range(len(pivots), oracle.rows) for x in oracle.row(i))
+
+
+def invert(m: RatMatrix) -> RatMatrix:
+    """Exact inverse of a square matrix; raises ValueError on singular input.
+
+    Test-only: the package no longer inverts matrices, and the Legendre
+    oracle in test_grassmann.py uses this.
+    """
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    n = m.rows
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m.entries)]
+    pivots, reduced = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return RatMatrix([row[n:] for row in reduced])
 
 
 def test_invert_matches_sympy():

@@ -94,3 +94,28 @@ def test_lax_field_rejects_nonlinear_directions():
         parse_lax_field("u11 + d1", 4)
     with pytest.raises(ParseError):
         parse_lax_field("u11", 4)
+
+
+def test_expansion_bound_is_checked_before_expanding():
+    from heavenly.parse import MAX_EXPANSION_TERMS
+
+    assert 2 ** 16 <= MAX_EXPANSION_TERMS < 2 ** 17
+    assert len(parse_polynomial("(u11+u12)^16", 2).terms) == 17
+    with pytest.raises(ParseError, match="expand"):
+        parse_polynomial("(u11+u12)^17", 2)
+    ten = "(u11+u12+u13+u14+u22+u23+u24+u33+u34+u44)"
+    assert len(parse_polynomial(f"{ten}^4", 4).terms) == 715
+    with pytest.raises(ParseError, match="'\\*' would expand"):
+        parse_polynomial(f"{ten}^4*{ten}^4", 4)  # 715 * 715 terms
+    assert parse_polynomial("(u11+u12)^8*(u11+u22)^8", 2) == (
+        (uvar(1, 1) + uvar(1, 2)) ** 8 * (uvar(1, 1) + uvar(2, 2)) ** 8)
+    assert parse_polynomial("2^1000 - u11^1000", 2).degree() == 1000
+
+
+def test_builtins_and_hess_parse_under_the_expansion_bound():
+    from heavenly import catalog
+
+    for name in catalog.builtin_names():
+        eq = catalog.builtin_equation(name)
+        assert parse_equation(str(eq.poly), eq.n) == eq
+    assert parse_equation("(HESS - 1)*2 - HESS + 1", 4) == catalog.hess_equation(4)

@@ -229,17 +229,7 @@ def cmd_classify(args) -> Dict:
 
 def cmd_symmetry(args) -> Dict:
     eq = resolve_equation(args, default_n=4)
-    alg = symmetry_algebra(eq)
-    description = alg.describe()
-    return {
-        "command": "symmetry",
-        "equation": str(eq.poly),
-        "dimension": description["dimension"],
-        "generators": description["generators"],
-        "center-dimension": description["center-dimension"],
-        "derived-dimension": description["derived-dimension"],
-        "reductive": description["reductive"],
-    }
+    return {"command": "symmetry", "equation": str(eq.poly), **symmetry_algebra(eq).describe()}
 
 
 def cmd_lambda(args) -> Dict:
@@ -333,8 +323,7 @@ def cmd_singular(args) -> Dict:
         "kernel": [[[str(x) for x in row] for row in mat] for mat in kernel],
     }
     if eq.n == 4:
-        out["meets-all-sublagrangians"] = meets_all_sublagrangians(
-            eq, kernel, seed=args.seed)
+        out["meets-all-sublagrangians"] = meets_all_sublagrangians(eq, kernel)
     return out
 
 

@@ -15,9 +15,10 @@ from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InvariantViolation, ProportionalityViolation, ZeroPullback
-from .grassmann import MAEquation, MinorBasis, decompose, minor_basis, uvar
+from .grassmann import (MAEquation, MinorBasis, _minor_polys, decompose, minor_basis,
+                        permutation_sign, plucker_minor)
 from .linalg import RatMatrix, rank_kernel, solve_linear
-from .poly import Polynomial, determinant, signed_sum
+from .poly import Polynomial, signed_sum
 
 Key = Tuple[int, ...]
 
@@ -73,8 +74,8 @@ class ExteriorForm:
             for k2, c2 in other.terms.items():
                 if s1 & set(k2):
                     continue
-                merged, sign = _merge_sorted(k1, k2)
-                out[merged] = out.get(merged, 0) + c1 * c2 * sign
+                key = tuple(sorted(k1 + k2))
+                out[key] = out.get(key, 0) + c1 * c2 * permutation_sign(k1 + k2)
         return ExteriorForm(self.n, self.degree + other.degree, out)
 
     def interior(self, index: int) -> "ExteriorForm":
@@ -106,12 +107,6 @@ class ExteriorForm:
 
     def __repr__(self):
         return f"ExteriorForm({self})"
-
-
-def _merge_sorted(k1: Key, k2: Key) -> Tuple[Key, int]:
-    """The sorted concatenation and the sign of the inversions that sort it."""
-    merged = k1 + k2
-    return tuple(sorted(merged)), (-1) ** sum(a > b for a, b in combinations(merged, 2))
 
 
 def generator_names(n: int) -> List[str]:
@@ -149,19 +144,15 @@ def pullback_to_equation(w: ExteriorForm, basis: MinorBasis) -> MAEquation:
 
 
 def pullback_polynomial(w: ExteriorForm) -> Polynomial:
+    """Pullback along u_i = sum_j u_ij x^j: the monomial form on generators S
+    goes to the Plucker coordinate p_S of [I; U], a signed raw minor."""
     n = w.n
     if w.degree != n:
         raise ValueError(f"pullback needs an n-form, got degree {w.degree}")
     total = Polynomial.zero()
     for key, c in w.terms.items():
-        rows = []
-        for g in key:
-            if g < n:
-                rows.append([Polynomial.constant(int(j == g)) for j in range(n)])
-            else:
-                i = g - n + 1
-                rows.append([uvar(i, j + 1) for j in range(n)])
-        total = total + c * determinant(rows)
+        m, sign = plucker_minor(n, key)
+        total = total + sign * c * _minor_polys(n)[m]
     return total
 
 

@@ -217,20 +217,19 @@ class MAEquation:
 
 @dataclass(frozen=True)
 class LagrangePoint:
-    """A point of the Grassmannian in a (possibly Legendre-flipped) chart."""
+    """A point of the Grassmannian in the affine chart, as its symmetric matrix."""
 
     n: int
     matrix: Tuple[Tuple[Fraction, ...], ...]
-    chart: frozenset = frozenset()
 
     @classmethod
-    def from_rows(cls, n: int, rows: Sequence[Sequence], chart=()) -> "LagrangePoint":
+    def from_rows(cls, n: int, rows: Sequence[Sequence]) -> "LagrangePoint":
         m = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if len(m) != n or any(len(r) != n for r in m):
             raise ValueError("matrix shape mismatch")
         if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
             raise ValueError("matrix must be symmetric")
-        return cls(n, m, frozenset(chart))
+        return cls(n, m)
 
     @classmethod
     def origin(cls, n: int) -> "LagrangePoint":
@@ -248,8 +247,6 @@ def sym_matrix(n: int, entries: Dict[Tuple[int, int], Fraction]) -> List[List[Fr
 
 def plucker_eval(point: LagrangePoint, basis: MinorBasis) -> List[Fraction]:
     """Values of every canonical basis polynomial at the chart point."""
-    if point.chart:
-        raise ValueError("plucker_eval expects the plain affine chart")
     assignment = {ucoord(i + 1, j + 1): point.matrix[i][j]
                   for i in range(basis.n) for j in range(i, basis.n)}
     return [p.evaluate(assignment) for p in basis.basis_polys]
@@ -280,7 +277,7 @@ def _minor_polys(n: int) -> Tuple[Polynomial, ...]:
     return tuple(minor_poly(r, c) for r, c in _minor_pairs(n))
 
 
-def _permutation_sign(seq: Sequence[int]) -> int:
+def permutation_sign(seq: Sequence[int]) -> int:
     return (-1) ** sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
@@ -288,7 +285,7 @@ def _signed_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> Tuple[int
     """(raw minor m, sign) with det V[rows, cols] = sign * minor m, V symmetric."""
     r, c = tuple(sorted(rows)), tuple(sorted(cols))
     return (_minor_pairs(n).index((min(r, c), max(r, c))),
-            _permutation_sign(rows) * _permutation_sign(cols))
+            permutation_sign(rows) * permutation_sign(cols))
 
 
 def plucker_minor(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -303,7 +300,7 @@ def plucker_minor(n: int, rows: Sequence[int]) -> Optional[Tuple[int, int]]:
     bottom = tuple(r + 1 - n for r in sorted(rows) if r >= n)
     cols = tuple(i for i in range(1, n + 1) if i not in top)
     return (_signed_minor(n, bottom, cols)[0],
-            _permutation_sign(rows) * _permutation_sign(top + cols))
+            permutation_sign(rows) * permutation_sign(top + cols))
 
 
 @lru_cache(maxsize=None)
@@ -313,7 +310,7 @@ def _plucker_rows(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     for rows, cols in _minor_pairs(n):
         top = tuple(i for i in range(1, n + 1) if i not in cols)
         out.append((tuple(i - 1 for i in top) + tuple(n + r - 1 for r in rows),
-                    _permutation_sign(top + cols)))
+                    permutation_sign(top + cols)))
     return tuple(out)
 
 
@@ -486,7 +483,8 @@ def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
     an exact involution.  Cleared of the single det(A) denominator it acts
     linearly on the span, as the cached matrix `legendre_matrix`.  The
     result is rescaled so its leading coefficient in the frozen monomial
-    order is 1.
+    order is 1.  That coefficient is the nonzero coordinate with the leading
+    pivot, because each basis element leads with its pivot and is 0 at the others.
     """
     n = eq.n
     s = frozenset(flip)
@@ -494,11 +492,11 @@ def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
         raise ValueError("flip indices out of range")
     if not s:
         return eq
-    new_coords = legendre_matrix(n, s).mat_vec(eq.coords)
-    poly = combine(new_coords, eq.basis)
-    if poly.is_zero():
+    coords = legendre_matrix(n, s).mat_vec(eq.coords)
+    if not any(coords):
         raise DegenerateChart("legendre transform produced the zero polynomial")
-    return MAEquation.from_poly(n, poly.monic())
+    _, lead = min((mono_order_key(p), c) for p, c in zip(eq.basis.pivots, coords) if c)
+    return MAEquation.from_coords(n, [c / lead for c in coords])
 
 
 def quadratic_form_matrix(eq: MAEquation) -> RatMatrix:
@@ -535,41 +533,22 @@ def singular_locus_quadratic(eq: MAEquation):
                                for vec in kernel]
 
 
-def meets_all_sublagrangians(eq: MAEquation, kernel_basis: Sequence,
-                             trials: int = 16, seed: int = 0) -> bool:
+def meets_all_sublagrangians(eq: MAEquation, kernel_basis: Sequence) -> bool:
     """Whether the tangency directions sweep out the whole symplectic space.
 
     The map (t, x) -> (x, U(t) x) with U(t) = sum t_k B_k over the kernel
     directions is dominant iff its Jacobian has generic rank 2n; after
     column reduction this is the condition that the n x d matrix
-    [B_1 x ... B_d x] reaches rank n.  Random exact evaluations certify a
-    positive answer; the symbolic-minor fallback decides the rest.
+    [B_1 x ... B_d x] reaches rank n over Q(x): one of its n x n minors is
+    a nonzero polynomial in x, which expanding them decides exactly.
     """
-    from random import Random
-
     n = eq.n
     if n != 4:
         raise UnsupportedDimension("sub-Grassmannian sweep test is specific to n=4")
-    mats = [RatMatrix(b) for b in kernel_basis]
-    d = len(mats)
-    if d < n:
-        return False
-    rng = Random(seed)
-    for _ in range(trials):
-        x = [Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
-        cols = [m.mat_vec(x) for m in mats]
-        grid = RatMatrix([[cols[k][i] for k in range(d)] for i in range(n)])
-        rank, _ = rank_kernel(grid)
-        if rank == n:
-            return True
-    # symbolic fallback: some n x n minor of [B_k x] must be a nonzero polynomial
-    sym_cols = [[Polynomial({((f"x{j + 1}", 1),): m.entries[i][j] for j in range(n)})
-                 for i in range(n)] for m in mats]
-    for pick in combinations(range(d), n):
-        det = determinant([[sym_cols[k][i] for k in pick] for i in range(n)])
-        if not det.is_zero():
-            return True
-    return False
+    cols = [[Polynomial({((f"x{j + 1}", 1),): b[i][j] for j in range(n)}) for i in range(n)]
+            for b in kernel_basis]
+    return any(not determinant([[cols[k][i] for k in pick] for i in range(n)]).is_zero()
+               for pick in combinations(range(len(cols)), n))
 
 
 def osculating_containment(eq: MAEquation, point: LagrangePoint) -> bool:
@@ -579,8 +558,6 @@ def osculating_containment(eq: MAEquation, point: LagrangePoint) -> bool:
     coefficients on every basis element of degree <= n-2 (constant included),
     i.e. consist of minors of orders n-1 and n only.
     """
-    if point.chart:
-        raise ValueError("osculating test expects the plain affine chart")
     neg = [[-x for x in row] for row in point.matrix]
     moved = translate(eq, neg)
     basis = eq.basis
@@ -605,4 +582,6 @@ def equation_from_json(text: str) -> MAEquation:
     tag = data.get("format") if isinstance(data, dict) else type(data).__name__
     if tag != FORMAT_TAG:
         raise ValueError(f"unsupported equation format: {tag!r}")
-    return MAEquation.from_coords(int(data["n"]), [Fraction(c) for c in data["coords"]])
+    if type(data["n"]) is not int:  # not a bool, a float or a string
+        raise ValueError(f"\"n\" must be an integer, got {data['n']!r}")
+    return MAEquation.from_coords(data["n"], [Fraction(c) for c in data["coords"]])

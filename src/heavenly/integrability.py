@@ -226,7 +226,7 @@ def integrable_4d(eq: MAEquation, trials: int = 50, seed: int = 0) -> Integrabil
         flip, moved, dim, kernel = quad
         report.quadratic_flip = flip
         report.singular_dim = dim
-        report.meets_all = meets_all_sublagrangians(moved, kernel, seed=seed)
+        report.meets_all = meets_all_sublagrangians(moved, kernel)
 
     perms = list(permutations((1, 2, 3, 4)))
     for _ in range(trials):

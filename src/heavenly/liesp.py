@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
@@ -187,29 +187,22 @@ class LieSubalgebra:
         self.basis = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
                            for v in basis)
         self.eigenvalues = tuple(eigenvalues)
-        self._structure = structure_constants
-        self._center = None
-        self._derived = None
+        if structure_constants is not None:
+            self.structure_constants = structure_constants
 
-    @property
+    @cached_property
     def structure_constants(self):
-        if self._structure is None:
-            self._structure = _subalgebra_structure(self)
-        return self._structure
+        return _subalgebra_structure(self)
 
-    @property
+    @cached_property
     def center_basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """`center(self)`, computed once."""
-        if self._center is None:
-            self._center = tuple(tuple(v) for v in center(self))
-        return self._center
+        return tuple(tuple(v) for v in center(self))
 
-    @property
+    @cached_property
     def derived_basis(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """`derived_subalgebra(self)`, computed once."""
-        if self._derived is None:
-            self._derived = tuple(tuple(v) for v in derived_subalgebra(self))
-        return self._derived
+        return tuple(tuple(v) for v in derived_subalgebra(self))
 
     @property
     def dim(self) -> int:
@@ -274,8 +267,12 @@ def invariance_eigenvalue(eq: MAEquation, vector: Sequence[Fraction]) -> Optiona
     return mu if mu is not None else Fraction(0)
 
 
+@lru_cache(maxsize=1)
 def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
     """Projective stabilizer of the equation inside sp(2n).
+
+    The last result is kept: `classify` asks for the 4D stabilizer twice, and
+    one entry keeps memory flat over a stream of equations.
 
     Solves {(v, mu) : sum_g v_g A_g c = mu c} exactly and returns the
     projection to v with structure constants over the returned basis.

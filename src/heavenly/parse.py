@@ -11,15 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 from typing import List, Optional
 
 from .errors import ParseError
 from .grassmann import MAEquation, hessian_matrix, ucoord
 from .poly import Polynomial, determinant
 
-# Bound on the term count of a * b or a ^ e, estimated before expanding as
-# len(a) * len(b) or len(a) ** e; equations have at most a few hundred terms.
+# Checked before computing: the terms of a * b or a ^ e, at most len(a) * len(b) or
+# len(a) ** e (equations have a few hundred), and the digits of a coefficient of a + b,
+# a * b or a ^ e, estimated as digits(a) + digits(b) or e * digits(a).  MAX_DIGITS also
+# bounds a literal; it stays below Python's 4300-digit int-to-str limit, so reports print.
 MAX_EXPANSION_TERMS = 100_000
+MAX_DIGITS = 1000
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,8 @@ def tokenize(text: str) -> List[Token]:
             start = i
             while i < size and text[i].isdigit():
                 i += 1
+            if i - start > MAX_DIGITS:
+                raise ParseError(f"a literal has more than {MAX_DIGITS} digits", start)
             numerator = int(text[start:i])
             j = i
             while j < size and text[j].isspace():
@@ -56,6 +62,8 @@ def tokenize(text: str) -> List[Token]:
                 dstart = j
                 while j < size and text[j].isdigit():
                     j += 1
+                if j - dstart > MAX_DIGITS:
+                    raise ParseError(f"a literal has more than {MAX_DIGITS} digits", dstart)
                 denominator = int(text[dstart:j])
                 if denominator == 0:
                     raise ParseError("zero denominator", dstart)
@@ -121,16 +129,18 @@ class _Parser:
             if tok.kind == "OP" and tok.text in ("+", "-") and min_power < 10:
                 self.advance()
                 right = self.expression(10)
+                _bound(0, _digits(left) + _digits(right), tok)
                 left = left + right if tok.text == "+" else left - right
             elif tok.kind == "OP" and tok.text == "*" and min_power < 20:
                 self.advance()
                 right = self.expression(20)
-                _bound(len(left.terms) * len(right.terms), tok)
+                _bound(len(left.terms) * len(right.terms), _digits(left) + _digits(right), tok)
                 left = left * right
             elif tok.kind == "OP" and tok.text == "^" and min_power <= 30:
                 self.advance()
                 e = self.exponent()
-                _bound(len(left.terms) ** min(e, 64), tok)  # e >= 64 is over it once len >= 2
+                # capped: len >= 2 is over at e = 64, and digits > 0 (>= log10 2) at e = 4000
+                _bound(len(left.terms) ** min(e, 64), _digits(left) * min(e, 4 * MAX_DIGITS), tok)
                 left = left ** e
             else:
                 return left
@@ -181,10 +191,18 @@ class _Parser:
         raise ParseError(f"unknown identifier {name!r}", tok.position)
 
 
-def _bound(estimate: int, tok: Token) -> None:
-    if estimate > MAX_EXPANSION_TERMS:
+def _digits(p: Polynomial) -> float:
+    """log10 of the largest |numerator| * denominator among p's coefficients."""
+    return max((log10(abs(c.numerator) * c.denominator) for c in p.terms.values()), default=0)
+
+
+def _bound(terms: int, digits: float, tok: Token) -> None:
+    if terms > MAX_EXPANSION_TERMS:
         raise ParseError(f"'{tok.text}' would expand to more than {MAX_EXPANSION_TERMS} terms",
                          tok.position)
+    if digits > MAX_DIGITS:
+        raise ParseError(f"'{tok.text}' would give a coefficient of more than {MAX_DIGITS} "
+                         "digits", tok.position)
 
 
 def parse_polynomial(text: str, n: int, extended: bool = False) -> Polynomial:

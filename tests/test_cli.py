@@ -155,13 +155,45 @@ def test_file_with_zero_denominator_rejected(tmp_path, capsys):
     {"format": "ma-equation/1", "coords": ["1"] + ["0"] * 41},
     [{"format": "ma-equation/1", "n": 4, "coords": ["1"] + ["0"] * 41}],
     {"format": "ma-equation/1", "n": 4, "coords": [None] + ["0"] * 41},
-], ids=["missing-n", "top-level-list", "null-coordinate"])
+    {"format": "ma-equation/1", "n": 3.7, "coords": ["1"] + ["0"] * 13},
+    {"format": "ma-equation/1", "n": "4", "coords": ["1"] + ["0"] * 41},
+], ids=["missing-n", "top-level-list", "null-coordinate", "fractional-n", "string-n"])
 def test_malformed_equation_file_rejected(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content))
     code, out, err = run(capsys, "identify", "--file", str(path))
     assert code == 2
     assert out == "" and "cannot load equation" in err and "Traceback" not in err
+
+
+PRIME_RECIPROCALS = " + ".join(f"1/{p}" for p in range(2, 14000)
+                               if all(p % q for q in range(2, int(p ** 0.5) + 1)))
+
+
+@pytest.mark.parametrize("expr", ["2^20000", "7" * 5000 + "*u11 - u22",
+                                  "u11 - u22 + " + PRIME_RECIPROCALS],
+                         ids=["huge-power", "long-literal", "prime-reciprocals"])
+def test_expression_with_huge_coefficient_is_rejected(capsys, expr):
+    code, out, err = run(capsys, "classify", "--expr", expr, "--n", "3")
+    assert code == 2
+    assert out == "" and "digits" in err and "Traceback" not in err
+
+
+def test_classify_solves_the_4d_stabilizer_once(capsys, monkeypatch):
+    from heavenly import liesp
+
+    solves = []
+    action_matrices = liesp.action_matrices
+
+    def counted(n):
+        solves.append(n)
+        return action_matrices(n)
+
+    monkeypatch.setattr(liesp, "action_matrices", counted)
+    liesp.symmetry_algebra.cache_clear()  # as in a fresh process
+    code, _, _ = run(capsys, "classify", "--builtin", "husain")
+    assert code == 0
+    assert solves.count(4) == 1
 
 
 def test_expression_that_would_blow_up_is_rejected_quickly(capsys):

@@ -1,5 +1,6 @@
 """Exterior algebra, pullback/lift correspondence, lambda invariant."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -141,3 +142,39 @@ def test_b_matrix_symmetric_for_odd_n():
 def test_volume_normalizer():
     key, coeff = volume_normalizer(4)
     assert key == tuple(range(8)) and coeff != 0
+
+
+def determinant_pullback(w):
+    """Reference: the pullback as it was computed before it read the Plucker
+    section, expanding the determinant of the pulled-back generator rows."""
+    from heavenly.poly import Polynomial, determinant
+
+    n = w.n
+    total = Polynomial.zero()
+    for key, c in w.terms.items():
+        rows = []
+        for g in key:
+            if g < n:
+                rows.append([Polynomial.constant(int(j == g)) for j in range(n)])
+            else:
+                rows.append([uvar(g - n + 1, j + 1) for j in range(n)])
+        total = total + c * determinant(rows)
+    return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pullback_matches_determinant_reference(n):
+    from itertools import combinations
+
+    from heavenly.forms import ExteriorForm
+
+    rng = Random(60 + n)
+    keys = list(combinations(range(2 * n), n))
+    forms = [monomial_form(n, key, rng.choice([-3, -1, 1, 2])) for key in keys]
+    for _ in range(20):
+        picked = rng.sample(keys, rng.randint(1, len(keys)))
+        forms.append(ExteriorForm(n, n, {key: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                                         for key in picked}))
+    forms.append(ExteriorForm(n, n, {}))
+    for w in forms:
+        assert pullback_polynomial(w) == determinant_pullback(w)

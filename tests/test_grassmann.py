@@ -589,3 +589,132 @@ def test_serialization_round_trip():
         eq = random_equation(rng, n)
         again = equation_from_json(equation_to_json(eq))
         assert again.n == eq.n and again.coords == eq.coords and again.poly == eq.poly
+
+
+def polynomial_legendre(eq, flip):
+    """Reference: the Legendre flip as it was normalised before it read the
+    coordinates, by combining the image, making it monic and decomposing it."""
+    from heavenly.errors import DegenerateChart
+    from heavenly.grassmann import combine
+
+    poly = combine(legendre_matrix(eq.n, frozenset(flip)).mat_vec(eq.coords), eq.basis)
+    if poly.is_zero():
+        raise DegenerateChart("legendre transform produced the zero polynomial")
+    return MAEquation.from_poly(eq.n, poly.monic())
+
+
+def test_legendre_normalisation_matches_polynomial_reference():
+    from heavenly import catalog
+    from heavenly.errors import DegenerateChart
+
+    rng = Random(83)
+    equations = [catalog.builtin_equation(name) for name in catalog.builtin_names()]
+    for n in (2, 3, 4):
+        basis = minor_basis(n)
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(basis.dimension)]
+            if any(coords):
+                equations.append(MAEquation.from_coords(n, coords))
+    low = []  # flipped back, these images lead in degree 0 or 1
+    for n in (2, 3, 4):
+        basis = minor_basis(n)
+        for s in ((1,), tuple(range(1, n + 1))):
+            coords = [Fraction(0)] * basis.dimension
+            for k in list(basis.degree_slice(0)) + list(basis.degree_slice(1)):
+                coords[k] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            coords[basis.degree_slice(1)[-1]] = Fraction(5)
+            low.append((partial_legendre(MAEquation.from_coords(n, coords), s), s))
+    for eq in equations:
+        for size in range(1, eq.n + 1):
+            for s in combinations(range(1, eq.n + 1), size):
+                assert partial_legendre(eq, s) == polynomial_legendre(eq, s)
+    for eq, s in low:
+        image = partial_legendre(eq, s)
+        assert image == polynomial_legendre(eq, s)
+        assert image.poly.degree() <= 1 and image.poly.lead_coeff() == 1
+    zero = MAEquation(4, Polynomial.zero(), (Fraction(0),) * 42)
+    for legendre in (partial_legendre, polynomial_legendre):
+        with pytest.raises(DegenerateChart):
+            legendre(zero, (1, 2))
+
+
+def sampled_meets_all_sublagrangians(eq, kernel_basis, trials=16, seed=0):
+    """Reference: the sub-Grassmannian test as it was before it kept only
+    its exact path: random rank trials certify a positive answer, and the
+    symbolic minors decide the rest."""
+    n = eq.n
+    mats = [RatMatrix(b) for b in kernel_basis]
+    d = len(mats)
+    if d < n:
+        return False
+    rng = Random(seed)
+    for _ in range(trials):
+        x = [Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
+        cols = [m.mat_vec(x) for m in mats]
+        rank, _ = rank_kernel(RatMatrix([[cols[k][i] for k in range(d)] for i in range(n)]))
+        if rank == n:
+            return True
+    sym_cols = [[Polynomial({((f"x{j + 1}", 1),): m.entries[i][j] for j in range(n)})
+                 for i in range(n)] for m in mats]
+    return any(not determinant([[sym_cols[k][i] for k in pick] for i in range(n)]).is_zero()
+               for pick in combinations(range(d), n))
+
+
+def seeded_kernels(rng):
+    """Symmetric 4 x 4 kernels with d = 0..6 directions: dense ones, ones
+    with a common null vector, ones of rank 1 along few vectors, and ones
+    supported on a 2 x 2 block."""
+    def with_null_vector(v):
+        # P S P with P = (v.v) I - v v^T is symmetric and kills v
+        p = [[(sum(x * x for x in v) if i == j else 0) - v[i] * v[j] for j in range(4)]
+             for i in range(4)]
+        s = random_symmetric(rng, 4, 3)
+        ps = [[sum(p[i][k] * s[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        return [[sum(ps[i][k] * p[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+    def rank_one(a):
+        return [[a[i] * a[j] for j in range(4)] for i in range(4)]
+
+    out = []  # (kind, kernel)
+    for d in range(7):
+        for _ in range(3):
+            out.append(("dense", [random_symmetric(rng, 4, 3) for _ in range(d)]))
+        v = [rng.randint(-2, 2) for _ in range(3)] + [1]
+        out.append(("null-vector", [with_null_vector(v) for _ in range(d)]))
+        vectors = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(2)]
+        out.append(("rank-one", [rank_one(rng.choice(vectors)) for _ in range(d)]))
+        block = []
+        for _ in range(d):
+            m = [[Fraction(0)] * 4 for _ in range(4)]
+            m[0][0], m[1][1], m[0][1] = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
+            m[1][0] = m[0][1]
+            block.append(m)
+        out.append(("block", block))
+    return out
+
+
+def test_meets_all_sublagrangians_matches_sampled_reference():
+    eq = MAEquation.from_poly(4, uvar(1, 3) * uvar(2, 4) - uvar(1, 4) * uvar(2, 3))
+    for kind, kernel in seeded_kernels(Random(89)):
+        answer = meets_all_sublagrangians(eq, kernel)
+        assert answer is sampled_meets_all_sublagrangians(eq, kernel)
+        # dense kernels of 4 or more directions are generic in this sample
+        assert answer is (kind == "dense" and len(kernel) >= 4)
+
+
+def test_meets_all_sublagrangians_matches_sympy_rank():
+    # the rank of [B_k x] over Q(x): a fraction-free elimination over Q[x]
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    xs = sympy.symbols("x1:5")
+    ring = sympy.QQ[xs]
+    eq = MAEquation.from_poly(4, uvar(1, 3) * uvar(2, 4) - uvar(1, 4) * uvar(2, 3))
+    for _, kernel in seeded_kernels(Random(97)):
+        rank = 0
+        if kernel:
+            m = sympy.Matrix(4, len(kernel), lambda i, k: sum(
+                sympy.Rational(str(Fraction(kernel[k][i][j]))) * xs[j] for j in range(4)))
+            rank = len(DomainMatrix.from_Matrix(m).convert_to(ring).rref_den()[2])
+        assert meets_all_sublagrangians(eq, kernel) is (rank == 4)

@@ -112,6 +112,34 @@ def test_expansion_bound_is_checked_before_expanding():
     assert parse_polynomial("2^1000 - u11^1000", 2).degree() == 1000
 
 
+def test_long_literal_is_rejected_before_conversion():
+    from heavenly.parse import MAX_DIGITS
+
+    assert MAX_DIGITS < 4300  # Python's limit on int-to-str conversion
+    long = "7" * 5000
+    for text in (f"{long}*u11 - u22", f"u11 - 1/{long}", "1" + "0" * MAX_DIGITS):
+        with pytest.raises(ParseError, match="literal has more than"):
+            parse_polynomial(text, 2)
+    assert parse_polynomial("9" * MAX_DIGITS, 2) == Polynomial.constant(10 ** MAX_DIGITS - 1)
+
+
+def test_coefficient_bound_is_checked_before_expanding():
+    from heavenly.parse import MAX_DIGITS
+
+    with pytest.raises(ParseError, match="'\\^' would give a coefficient"):
+        parse_polynomial("2^20000", 3)
+    with pytest.raises(ParseError, match="'\\^' would give a coefficient"):
+        parse_polynomial("(1/2*u11)^4000", 2)
+    third = "3" * (MAX_DIGITS // 3)
+    assert parse_polynomial(f"{third}*{third}*{third}*u11", 2).terms
+    with pytest.raises(ParseError, match="'\\*' would give a coefficient"):
+        parse_polynomial(f"{third}*{third}*{third}*{third}*u11", 2)
+    assert parse_polynomial("(-1)^100000000000000000000*u11", 2) == uvar(1, 1)
+    primes = [p for p in range(2, 3000) if all(p % q for q in range(2, p))]
+    with pytest.raises(ParseError, match="'\\+' would give a coefficient"):
+        parse_polynomial("u11 + " + " + ".join(f"1/{p}" for p in primes), 2)
+
+
 def test_builtins_and_hess_parse_under_the_expansion_bound():
     from heavenly import catalog
 

@@ -35,3 +35,33 @@ def test_package_imports_only_stdlib():
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def _unbounded_cache(decorator):
+    """Whether the decorator is functools.cache or an lru_cache with maxsize None."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:  # a bare lru_cache keeps 128 entries
+        return False
+    size = call.args[0] if call.args else {k.arg: k.value for k in call.keywords}.get("maxsize")
+    return isinstance(size, ast.Constant) and size.value is None
+
+
+def test_no_unbounded_cache_keyed_by_an_equation():
+    # A cache keyed by an MAEquation grows with every equation a long run
+    # streams through (the classify-warm benchmark gates peak memory).
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not node.args.args:
+                continue
+            first = node.args.args[0].annotation
+            if first is None or ast.unparse(first).strip("'\"") != "MAEquation":
+                continue
+            found += [f"{path.name}:{node.lineno}: {node.name}" for d in node.decorator_list
+                      if _unbounded_cache(d)]
+    assert found == []

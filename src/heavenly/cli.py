@@ -118,8 +118,8 @@ def resolve_equation(args, default_n=4) -> MAEquation:
             raise CommandError(f"cannot load equation: {err}") from None
         except KeyError as err:
             raise CommandError(f"cannot load equation: missing {err}") from None
-    n = getattr(args, "n", None) or default_n
-    return parse_equation(args.expr, n)
+    n = getattr(args, "n", None)
+    return parse_equation(args.expr, default_n if n is None else n)
 
 
 def render(report: Dict, as_json: bool) -> str:
@@ -241,7 +241,7 @@ def cmd_lambda(args) -> Dict:
         "command": "lambda",
         "equation": str(eq.poly),
         "lambda-zero": lambda_zero,
-        "pairing-matrix": [[str(x) for x in row] for row in matrix.entries],
+        "pairing-matrix": [[str(x) for x in row] for row in matrix],
     }
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvariantViolation, ProportionalityViolation, ZeroPullback
 from .grassmann import (MAEquation, MinorBasis, _minor_polys, decompose, minor_basis,
                         permutation_sign, plucker_minor)
-from .linalg import RatMatrix, rank_kernel, solve_linear
+from .linalg import rank_kernel, solve_linear
 from .poly import Polynomial, signed_sum
 
 Key = Tuple[int, ...]
@@ -169,14 +169,13 @@ def _effective_frame(n: int):
     wedge_images = [monomial_form(n, key).wedge(omega) for key in monos]
     target_keys = sorted({k for img in wedge_images for k in img.terms})
     rows = [[img.terms.get(k, Fraction(0)) for img in wedge_images] for k in target_keys]
-    _, kernel = rank_kernel(RatMatrix(rows))
+    _, kernel = rank_kernel(rows)
     if len(kernel) != basis.dimension:
         raise InvariantViolation("effective forms have unexpected dimension")
     effective = [ExteriorForm(n, n, {monos[i]: c for i, c in enumerate(vec) if c})
                  for vec in kernel]
     columns = [decompose(pullback_polynomial(f), basis) for f in effective]
-    iso = RatMatrix([[columns[k][i] for k in range(len(columns))]
-                     for i in range(basis.dimension)])
+    iso = [list(row) for row in zip(*columns)]
     rank, _ = rank_kernel(iso)
     if rank != basis.dimension:
         raise InvariantViolation("pullback is not an isomorphism on effective forms")
@@ -197,25 +196,24 @@ def effective_lift(eq: MAEquation) -> ExteriorForm:
     return out
 
 
-def b_omega_matrix(eq: MAEquation) -> RatMatrix:
+def b_omega_matrix(eq: MAEquation) -> List[List[Fraction]]:
     """Pairing (X, Y) -> (i_X w ^ i_Y w ^ Omega) / Omega^n on basis vectors."""
     n = eq.n
     w = effective_lift(eq)
     omega = symplectic_form(n)
     key, vol = volume_normalizer(n)
     contractions = [w.interior(a) for a in range(2 * n)]
-    return RatMatrix([[x.wedge(y).wedge(omega).terms.get(key, Fraction(0)) / vol
-                       for y in contractions] for x in contractions])
+    return [[x.wedge(y).wedge(omega).terms.get(key, Fraction(0)) / vol
+             for y in contractions] for x in contractions]
 
 
-def symplectic_matrix(n: int) -> RatMatrix:
+def symplectic_matrix(n: int) -> List[List[Fraction]]:
     omega = symplectic_form(n)
-    entries = [[omega.interior(a).interior(b).scalar() for b in range(2 * n)]
-               for a in range(2 * n)]
-    return RatMatrix(entries)
+    return [[omega.interior(a).interior(b).scalar() for b in range(2 * n)]
+            for a in range(2 * n)]
 
 
-def b_omega_lambda(eq: MAEquation) -> Tuple[bool, RatMatrix]:
+def b_omega_lambda(eq: MAEquation) -> Tuple[bool, List[List[Fraction]]]:
     """(lambda == 0, B matrix); B must be skew and proportional to Omega."""
     if eq.n % 2:
         raise ValueError("the proportionality invariant needs even n")
@@ -223,18 +221,18 @@ def b_omega_lambda(eq: MAEquation) -> Tuple[bool, RatMatrix]:
     size = 2 * eq.n
     for a in range(size):
         for c in range(a, size):
-            if b.entries[a][c] != -b.entries[c][a]:
+            if b[a][c] != -b[c][a]:
                 raise ProportionalityViolation("pairing is not skew-symmetric")
     j = symplectic_matrix(eq.n)
     scale = None
     for a in range(size):
         for c in range(size):
-            if j.entries[a][c]:
-                cand = b.entries[a][c] / j.entries[a][c]
+            if j[a][c]:
+                cand = b[a][c] / j[a][c]
                 if scale is None:
                     scale = cand
                 elif cand != scale:
                     raise ProportionalityViolation("pairing is not a multiple of Omega")
-            elif b.entries[a][c]:
+            elif b[a][c]:
                 raise ProportionalityViolation("pairing is not a multiple of Omega")
     return (scale == 0 or scale is None), b

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
                      UnsupportedDimension)
-from .linalg import RatMatrix, over_common_denominator, rank_kernel, rref
+from .linalg import apply_table, mat_vec, over_common_denominator, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
 
 MIN_DIM, MAX_DIM = 2, 4
@@ -317,7 +317,7 @@ def _plucker_rows(n: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
 @lru_cache(maxsize=None)
 def _minor_maps(n: int):
     """Each basis element over the raw minors, and each raw minor over the
-    basis (decompose checks that it lies in the span), as `_apply` tables.
+    basis (decompose checks that it lies in the span), as `apply_table` tables.
 
     Both maps are integral for 2 <= n <= 4; the build checks it."""
     basis = minor_basis(n)
@@ -328,20 +328,19 @@ def _minor_maps(n: int):
     return tuple(tuple(tuple((j, int(x), 0) for j, x in row) for row in rows) for rows in maps)
 
 
-def _on_basis(n: int, table) -> RatMatrix:
-    """Canonical-coordinate matrix of the raw-minor map `table` (as `_apply`
-    takes it): column k is basis k's minor combination, mapped, written over
-    the basis."""
+def _on_basis(n: int, table):
+    """Canonical-coordinate column table of the raw-minor map `table`:
+    column k is basis k's minor combination, mapped, written over the basis."""
     combos, over_basis = _minor_maps(n)
-    size = len(table)
-    columns = [_apply(_apply(_apply([1], [c], size), table, size), over_basis, len(combos))
+    size, dim = len(table), len(combos)
+    columns = [apply_table(apply_table(apply_table([1], [c], size), table, size), over_basis, dim)
                for c in combos]
-    zero = Fraction(0)  # shared: most entries are 0
-    return RatMatrix([[Fraction(x) if x else zero for x in row] for row in zip(*columns)])
+    return tuple(tuple((k, x, 0) for k, x in enumerate(column) if x) for column in columns)
 
 
-def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]) -> RatMatrix:
-    """Action of a 2n x 2n matrix M, as a derivation, on canonical coordinates.
+def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]):
+    """Action of a 2n x 2n matrix M, as a derivation, on canonical coordinates
+    (an integer column table).
 
     M is given by its nonzero entries {(row, column): value}, 0-based.  On
     Plucker coordinates the derivation is
@@ -358,8 +357,8 @@ def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]) -> RatMatrix:
 
 
 @lru_cache(maxsize=None)
-def legendre_matrix(n: int, s: frozenset) -> RatMatrix:
-    """Action of the Legendre flip on canonical coordinates (N x N, exact).
+def legendre_matrix(n: int, s: frozenset):
+    """Action of the Legendre flip on canonical coordinates, as an integer column table.
 
     The flip is the row map of [I; V] that swaps identity row i with row i
     of V for i in s and negates row i of V for i not in s.  The image plane
@@ -378,17 +377,6 @@ def legendre_matrix(n: int, s: frozenset) -> RatMatrix:
         raise InvariantViolation(f"Legendre flip {sorted(s)} does not square to the "
                                  "identity on the minors")
     return _on_basis(n, [[(j, sign, 0)] for j, sign in perm])
-
-
-def _apply(vec: Sequence[int], table, size: int, weights: Sequence[int] = (1,)) -> List[int]:
-    """The integer vector out with out[m] += x * c * weights[q] for every
-    entry (m, c, q) of table[i], x = vec[i]: a sparse map of the raw minors."""
-    out = [0] * size
-    for x, row in zip(vec, table):
-        if x:
-            for m, c, q in row:
-                out[m] += c * weights[q] * x
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -456,7 +444,7 @@ def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
     n = eq.n
     perm = tuple(perm) or tuple(range(1, n + 1))
     coords, den = over_common_denominator(eq.coords)
-    raw = _apply(coords, _minor_maps(n)[0], len(_minor_pairs(n)))
+    raw = apply_table(coords, _minor_maps(n)[0], len(_minor_pairs(n)))
     if shift is not None:
         t, d = over_common_denominator([Fraction(shift[min(p, q) - 1][max(p, q) - 1])
                                         for p in perm for q in perm])
@@ -464,13 +452,13 @@ def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
         for terms in _laplace_table(n):
             minors.append(sum([s * t[f] * minors[q] for s, f, q in terms]) if terms else 1)
         minors = [v * d ** (n - len(r)) for v, (r, _) in zip(minors, _minor_pairs(n))]
-        raw, den = _apply(raw, _shift_table(n), len(raw), minors), den * d ** n
+        raw, den = apply_table(raw, _shift_table(n), len(raw), minors), den * d ** n
     m, kk = (n - 1, [Fraction(x) for x in k]) if k is not None else (n, [0] * n)
     kk, d = over_common_denominator(kk + [1])
-    raw = _apply(raw, _restrict_table(n, perm, m), len(_minor_pairs(m)),
-                 [a * b for a in kk for b in kk])
+    raw = apply_table(raw, _restrict_table(n, perm, m), len(_minor_pairs(m)),
+                      [a * b for a in kk for b in kk])
     return [Fraction(x, den * d * d) for x in
-            _apply(raw, _minor_maps(m)[1], minor_basis(m).dimension)]
+            apply_table(raw, _minor_maps(m)[1], minor_basis(m).dimension)]
 
 
 def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
@@ -481,7 +469,7 @@ def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
         [A B; B^T D]  ->  [A^-1, -A^-1 B; -B^T A^-1, B^T A^-1 B - D],
 
     an exact involution.  Cleared of the single det(A) denominator it acts
-    linearly on the span, as the cached matrix `legendre_matrix`.  The
+    linearly on the span, as the cached table `legendre_matrix`.  The
     result is rescaled so its leading coefficient in the frozen monomial
     order is 1.  That coefficient is the nonzero coordinate with the leading
     pivot, because each basis element leads with its pivot and is 0 at the others.
@@ -492,14 +480,14 @@ def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:
         raise ValueError("flip indices out of range")
     if not s:
         return eq
-    coords = legendre_matrix(n, s).mat_vec(eq.coords)
+    coords = mat_vec(legendre_matrix(n, s), eq.coords)
     if not any(coords):
         raise DegenerateChart("legendre transform produced the zero polynomial")
     _, lead = min((mono_order_key(p), c) for p, c in zip(eq.basis.pivots, coords) if c)
     return MAEquation.from_coords(n, [c / lead for c in coords])
 
 
-def quadratic_form_matrix(eq: MAEquation) -> RatMatrix:
+def quadratic_form_matrix(eq: MAEquation) -> List[List[Fraction]]:
     """Symmetric matrix of a purely quadratic equation over the chart variables."""
     if not (eq.poly.is_homogeneous(2) and not eq.poly.is_zero()):
         raise NotPurelyQuadratic("equation is not purely quadratic in the chart variables")
@@ -517,7 +505,7 @@ def quadratic_form_matrix(eq: MAEquation) -> RatMatrix:
             (v1, _), (v2, _) = mono
             h[idx[v1]][idx[v2]] = c / 2
             h[idx[v2]][idx[v1]] = c / 2
-    return RatMatrix(h)
+    return h
 
 
 def singular_locus_quadratic(eq: MAEquation):

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from .errors import JetOrderError
 from .grassmann import MAEquation, ucoord
 from .liesp import sample_zero_point
-from .linalg import RatMatrix, rank_kernel
+from .linalg import rank_kernel
 from .poly import Polynomial, determinant
 
 LAMBDA = "lam"
@@ -115,7 +115,7 @@ def sample_on_variety(eq: MAEquation, rng: Random, budget: int = 100
             if g:
                 row[index[jet3(a, b, k)]] += g
         rows.append(row)
-    _, kernel = rank_kernel(RatMatrix(rows))
+    _, kernel = rank_kernel(rows)
     values = dict(point)
     weights = [Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in kernel]
     for t in triples:

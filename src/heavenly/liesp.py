@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
 from .grassmann import MAEquation, chart_vars, derivation_matrix, ucoord, uvar
-from .linalg import RatMatrix, clear_row, rank_kernel, row_space_basis, rref
+from .linalg import apply_table, clear_row, mat_vec, rank_kernel, row_space_basis, rref
 from .poly import Polynomial, signed_sum
 
 
@@ -127,8 +127,9 @@ def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def action_matrices(n: int) -> Tuple[RatMatrix, ...]:
-    """Each generator's exterior-power derivation on canonical coordinates."""
+def action_matrices(n: int):
+    """Each generator's exterior-power derivation on canonical coordinates,
+    as an integer column table."""
     return tuple(derivation_matrix(n, _hamiltonian_matrix(n, g)) for g in sp_generators(n))
 
 
@@ -252,7 +253,7 @@ def invariance_eigenvalue(eq: MAEquation, vector: Sequence[Fraction]) -> Optiona
     image = [Fraction(0)] * len(c)
     for coeff, m in zip(vector, mats):
         if coeff:
-            for i, val in enumerate(m.mat_vec(c)):
+            for i, val in enumerate(mat_vec(m, c)):
                 image[i] += coeff * val
     mu = None
     for i, ci in enumerate(c):
@@ -283,8 +284,8 @@ def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
     mats = action_matrices(n)
     c = clear_row(eq.coords)
     g = len(mats)
-    columns = [m.mat_vec(c) for m in mats] + [[-x for x in c]]
-    _, kernel = rank_kernel(RatMatrix([list(row) for row in zip(*columns)]))
+    columns = [apply_table(c, m, len(c)) for m in mats] + [[-x for x in c]]
+    _, kernel = rank_kernel(list(zip(*columns)))
     basis = [tuple(vec[:g]) for vec in kernel]
     eigen = tuple(vec[g] for vec in kernel)
     return LieSubalgebra(n, basis, eigenvalues=eigen)
@@ -327,14 +328,14 @@ def _subalgebra_structure(alg: LieSubalgebra):
     return tuple(table)
 
 
-def killing_form(alg: LieSubalgebra) -> RatMatrix:
+def killing_form(alg: LieSubalgebra) -> List[List[Fraction]]:
     """K(a, b) = tr(ad_a ad_b) = sum over j, k of c[a][j][k] * c[b][k][j]."""
     dim = alg.dim
     c = alg.structure_constants
     nonzero = [[(j, k, x) for j in range(dim) for k, x in enumerate(c[a][j]) if x]
                for a in range(dim)]
-    return RatMatrix([[sum((x * c[b][k][j] for j, k, x in nonzero[a]), Fraction(0))
-                       for b in range(dim)] for a in range(dim)])
+    return [[sum((x * c[b][k][j] for j, k, x in nonzero[a]), Fraction(0))
+             for b in range(dim)] for a in range(dim)]
 
 
 def derived_subalgebra(alg: LieSubalgebra) -> List[List[Fraction]]:
@@ -356,7 +357,7 @@ def center(alg: LieSubalgebra) -> List[List[Fraction]]:
     for j in range(dim):
         for k in range(dim):
             rows.append([alg.structure_constants[i][j][k] for i in range(dim)])
-    _, kernel = rank_kernel(RatMatrix(rows))
+    _, kernel = rank_kernel(rows)
     return kernel
 
 
@@ -364,10 +365,10 @@ def radical(alg: LieSubalgebra) -> List[List[Fraction]]:
     """Solvable radical = Killing-orthogonal complement of [g, g]."""
     derived = alg.derived_basis
     if not derived:
-        return [list(v) for v in RatMatrix.identity(alg.dim).entries] if alg.dim else []
+        return [[Fraction(int(i == j)) for j in range(alg.dim)] for i in range(alg.dim)]
     k = killing_form(alg)
-    rows = [k.mat_vec(d) for d in derived]
-    _, kernel = rank_kernel(RatMatrix(rows))
+    rows = [[sum(x * y for x, y in zip(row, d) if x and y) for row in k] for d in derived]
+    _, kernel = rank_kernel(rows)
     return kernel
 
 
@@ -431,7 +432,7 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
     return None
 
 
-def symbol_matrix(eq: MAEquation, point: Dict[str, Fraction]) -> RatMatrix:
+def symbol_matrix(eq: MAEquation, point: Dict[str, Fraction]) -> List[List[Fraction]]:
     """Linearization symbol Q with Q_aa = dF/du_aa, Q_ab = dF/du_ab / 2."""
     n = eq.n
     q = [[Fraction(0)] * n for _ in range(n)]
@@ -443,7 +444,7 @@ def symbol_matrix(eq: MAEquation, point: Dict[str, Fraction]) -> RatMatrix:
             else:
                 q[a - 1][b - 1] = val / 2
                 q[b - 1][a - 1] = val / 2
-    return RatMatrix(q)
+    return q
 
 
 def nondegenerate(eq: MAEquation, samples: int = 6, seed: int = 0, rng=None) -> bool:

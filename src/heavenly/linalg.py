@@ -1,86 +1,46 @@
-"""Exact rational linear algebra with integer kernels.
+"""Exact linear algebra: integer column tables and eliminations on row lists.
 
-Values are Fractions at the interface and Python ints inside the kernels.
-`RatMatrix` keeps, next to its Fraction entries, each row as the integer
-numerators of its nonzero entries over one row denominator, built on first
-use (entries are never mutated afterwards).  A matrix-vector product
-clears the vector to integers over one common denominator, sums
-integer products over the nonzeros only (the sp(2n) action matrices are
-about 1% nonzero at n = 4) and builds one Fraction per output entry.
+A linear map of coordinates is an integer column table: column i lists the
+nonzero entries (m, c, q) of input i, each adding c * weights[q] times the
+input to output m (`apply_table`; q is 0 when the map carries no weights).
+The sp(2n) action matrices, the Legendre flips and the raw-minor maps of
+the Plucker section are such tables, about 1% nonzero at n = 4.
+`mat_vec` applies a square table to a vector of ints or Fractions: it
+clears the vector to integers over one common denominator, applies the
+table in integers and builds one Fraction per output entry.
 
-`rref` eliminates on denominator-cleared integer rows: a fraction-free
-(Bareiss) forward pass, then integer back-substitution above each pivot,
-each row kept primitive by dividing out the gcd of its entries.  Each row
-becomes Fractions once, at the end, by dividing by its pivot, so kernels
-and solutions come out in the unique reduced-echelon shape.
+Eliminations take plain lists of rows of ints or Fractions.  `rref`
+eliminates on denominator-cleared integer rows: a fraction-free (Bareiss)
+forward pass, then integer back-substitution above each pivot, each row
+kept primitive by dividing out the gcd of its entries.  Each row becomes
+Fractions once, at the end, by dividing by its pivot, so kernels and
+solutions come out in the unique reduced-echelon shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 Vector = List[Fraction]
 
 
-class RatMatrix:
-    """Matrix of Fractions; each row also as integer numerators over one denominator."""
+def apply_table(vec: Sequence[int], table, size: int, weights: Sequence[int] = (1,)) -> List[int]:
+    """The integer vector out with out[m] += x * c * weights[q] for every
+    entry (m, c, q) of table[i], x = vec[i]."""
+    out = [0] * size
+    for x, column in zip(vec, table):
+        if x:
+            for m, c, q in column:
+                out[m] += c * weights[q] * x
+    return out
 
-    def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
-                        for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
 
-    @cached_property
-    def integer_rows(self) -> List[Tuple[int, List[Tuple[int, int]]]]:
-        """(row denominator, nonzero (column, numerator) pairs) of each row."""
-        out = []
-        for row in self.entries:
-            nums, den = over_common_denominator(row)
-            out.append((den, [(j, x) for j, x in enumerate(nums) if x]))
-        return out
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    def mat_vec(self, v: Sequence) -> Vector:
-        """Product with a vector of ints or Fractions."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        w, d = over_common_denominator(v)
-        return [Fraction(sum([x * w[j] for j, x in row]), den * d)
-                for den, row in self.integer_rows]
-
-    def mat_mul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return RatMatrix([[sum((self.entries[i][k] * other.entries[k][j]
-                                for k in range(self.cols)), Fraction(0))
-                           for j in range(other.cols)] for i in range(self.rows)])
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
-    def __eq__(self, other):
-        return isinstance(other, RatMatrix) and self.entries == other.entries
-
-    def rank(self) -> int:
-        return len(rref(self.entries)[0])
-
-    def __repr__(self):
-        return f"RatMatrix({self.entries})"
+def mat_vec(table, v: Sequence) -> Vector:
+    """Product of a square integer column table with a vector of ints or Fractions."""
+    w, d = over_common_denominator(v)
+    return [Fraction(x, d) for x in apply_table(w, table, len(table))]
 
 
 def over_common_denominator(values: Sequence) -> Tuple[List[int], int]:
@@ -148,16 +108,15 @@ def rref(entries: Sequence[Sequence[Fraction]]) -> Tuple[List[int], List[Vector]
     return pivots, [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
 
 
-def rank_kernel(m: RatMatrix) -> Tuple[int, List[Vector]]:
-    """Rank and a canonical kernel basis (reduced echelon shape).
+def rank_kernel(rows: Sequence[Sequence]) -> Tuple[int, List[Vector]]:
+    """Rank and a canonical kernel basis (reduced echelon shape) of a
+    nonempty list of rows.
 
-    Every vector v in the basis satisfies m*v = 0 exactly, and
-    rank + len(basis) == m.cols.
+    Every vector v in the basis is orthogonal to every row, and
+    rank + len(basis) is the number of columns.
     """
-    if m.rows == 0:
-        return 0, [[Fraction(int(i == j)) for i in range(m.cols)] for j in range(m.cols)]
-    pivots, reduced = rref(m.entries)
-    return len(pivots), _kernel(pivots, reduced, m.cols)
+    pivots, reduced = rref(rows)
+    return len(pivots), _kernel(pivots, reduced, len(rows[0]))
 
 
 def _kernel(pivots: List[int], reduced: List[Vector], cols: int) -> List[Vector]:
@@ -178,28 +137,25 @@ def _kernel(pivots: List[int], reduced: List[Vector], cols: int) -> List[Vector]
     return basis
 
 
-def solve_linear(m: RatMatrix, b: Sequence) -> Optional[Tuple[Vector, List[Vector]]]:
-    """Solve m*x = b exactly.
+def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Optional[Tuple[Vector, List[Vector]]]:
+    """Solve rows * x = b exactly, for a nonempty list of rows.
 
     Returns (particular solution, kernel basis), or None when the system
     is inconsistent.  Free variables are set to zero in the particular
-    solution, which makes it canonical.  One elimination of [m | b] serves
-    both: when the system is consistent, its reduced rows restricted to m's
-    columns are the reduced form of m, which gives the kernel.
+    solution, which makes it canonical.  One elimination of [rows | b]
+    serves both: when the system is consistent, its reduced rows restricted
+    to the first columns are the reduced form of rows, which gives the kernel.
     """
-    bvec = [Fraction(x) for x in b]
-    if len(bvec) != m.rows:
+    if len(b) != len(rows):
         raise ValueError("right-hand side has wrong length")
-    if m.rows == 0:
-        return [], []
-    aug = [list(row) + [bvec[i]] for i, row in enumerate(m.entries)]
-    pivots, reduced = rref(aug)
-    if m.cols in pivots:
+    cols = len(rows[0])
+    pivots, reduced = rref([list(row) + [x] for row, x in zip(rows, b)])
+    if cols in pivots:
         return None
-    particular = [Fraction(0)] * m.cols
+    particular = [Fraction(0)] * cols
     for i, c in enumerate(pivots):
-        particular[c] = reduced[i][m.cols]
-    return particular, _kernel(pivots, reduced, m.cols)
+        particular[c] = reduced[i][cols]
+    return particular, _kernel(pivots, reduced, cols)
 
 
 def row_space_basis(rows: Sequence[Sequence[Fraction]]) -> List[Vector]:
@@ -214,6 +170,5 @@ def in_row_space(rows: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> O
     """Coordinates of v over the given rows, or None if v is outside their span."""
     if not rows:
         return None if any(Fraction(x) for x in v) else []
-    mt = RatMatrix(rows).transpose()
-    sol = solve_linear(mt, v)
+    sol = solve_linear(list(zip(*rows)), v)
     return None if sol is None else sol[0]

@@ -20,10 +20,12 @@ from .poly import Polynomial, determinant
 
 # Checked before computing: the terms of a * b or a ^ e, at most len(a) * len(b) or
 # len(a) ** e (equations have a few hundred), and the digits of a coefficient of a + b,
-# a * b or a ^ e, estimated as digits(a) + digits(b) or e * digits(a).  MAX_DIGITS also
-# bounds a literal; it stays below Python's 4300-digit int-to-str limit, so reports print.
+# a * b or a ^ e, estimated as digits(a) + digits(b) or e * digits(a), and the degree
+# degree(a) * e of a ^ e.  MAX_DIGITS also bounds a literal; it stays below Python's
+# 4300-digit int-to-str limit, so reports print, and MAX_DEGREE keeps exponents short.
 MAX_EXPANSION_TERMS = 100_000
 MAX_DIGITS = 1000
+MAX_DEGREE = 1000
 
 
 @dataclass(frozen=True)
@@ -141,6 +143,8 @@ class _Parser:
                 e = self.exponent()
                 # capped: len >= 2 is over at e = 64, and digits > 0 (>= log10 2) at e = 4000
                 _bound(len(left.terms) ** min(e, 64), _digits(left) * min(e, 4 * MAX_DIGITS), tok)
+                if left.degree() * e > MAX_DEGREE:
+                    raise ParseError(f"'^' would give a degree above {MAX_DEGREE}", tok.position)
                 left = left ** e
             else:
                 return left

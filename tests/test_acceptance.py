@@ -8,6 +8,7 @@ criteria run at the pinned seed below and are fully deterministic.
 from fractions import Fraction
 from random import Random
 
+from dense import dense
 from tables import (
     EXPECTED_LAMBDA_ZERO,
     EXPECTED_SYMMETRY_DIMS,
@@ -42,7 +43,7 @@ from heavenly.integrability import (
     travelling_wave_reduce,
 )
 from heavenly.laxpair import LaxField, catalog_pair, verify_lax
-from heavenly.linalg import RatMatrix, rank_kernel
+from heavenly.linalg import rank_kernel
 from heavenly.liesp import (
     action_matrices,
     invariance_eigenvalue,
@@ -190,8 +191,7 @@ def test_criterion_8_classification_pipeline():
             for b in range(a, 5):
                 row.append(poly.partial(ucoord(a, b)).evaluate(point))
         rows.append(row)
-    conditions = RatMatrix([[rows[i][j] for i in range(len(quad_slice))]
-                            for j in range(11)])
+    conditions = [[rows[i][j] for i in range(len(quad_slice))] for j in range(11)]
     _, kernel = rank_kernel(conditions)
     assert len(kernel) == 10
     # all ten rows reproduce through reconstruction + decomposition
@@ -260,7 +260,7 @@ def test_criterion_11_property_suites():
                 twice = partial_legendre(partial_legendre(eq, s), s)
                 assert twice.poly == eq.poly.monic()
     # bracket closure of the action matrices against the structure constants
-    mats = action_matrices(3)
+    mats = [dense(m) for m in action_matrices(3)]
     table = sp_structure_constants(3)
     for p, q in ((0, 8), (3, 14), (10, 20), (5, 17)):
         lhs = mats[p].mat_mul(mats[q])

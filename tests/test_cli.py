@@ -170,13 +170,22 @@ PRIME_RECIPROCALS = " + ".join(f"1/{p}" for p in range(2, 14000)
                                if all(p % q for q in range(2, int(p ** 0.5) + 1)))
 
 
-@pytest.mark.parametrize("expr", ["2^20000", "7" * 5000 + "*u11 - u22",
-                                  "u11 - u22 + " + PRIME_RECIPROCALS],
-                         ids=["huge-power", "long-literal", "prime-reciprocals"])
-def test_expression_with_huge_coefficient_is_rejected(capsys, expr):
+@pytest.mark.parametrize("expr, reason", [
+    ("2^20000", "digits"), ("7" * 5000 + "*u11 - u22", "digits"),
+    ("u11 - u22 + " + PRIME_RECIPROCALS, "digits"),
+    ("u11" + ("^" + "7" * 1000) * 5, "degree")],
+    ids=["huge-power", "long-literal", "prime-reciprocals", "huge-degree"])
+def test_expression_with_huge_coefficient_is_rejected(capsys, expr, reason):
     code, out, err = run(capsys, "classify", "--expr", expr, "--n", "3")
     assert code == 2
-    assert out == "" and "digits" in err and "Traceback" not in err
+    assert out == "" and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "linearisable", "symmetry", "legendre"])
+def test_zero_dimension_is_rejected(capsys, command):
+    code, out, err = run(capsys, command, "--expr", "u11+u22+u33", "--n", "0")
+    assert code == 2
+    assert out == "" and "Traceback" not in err
 
 
 def test_classify_solves_the_4d_stabilizer_once(capsys, monkeypatch):

@@ -122,12 +122,12 @@ def test_b_matrix_skew_and_scaling():
     _, b = b_omega_lambda(eq)
     for i in range(8):
         for j in range(8):
-            assert b.entries[i][j] == -b.entries[j][i]
+            assert b[i][j] == -b[j][i]
     scaled = eq.scaled(3)
     _, b3 = b_omega_lambda(scaled)
     for i in range(8):
         for j in range(8):
-            assert b3.entries[i][j] == 9 * b.entries[i][j]
+            assert b3[i][j] == 9 * b[i][j]
     assert b_omega_lambda(scaled)[0] == b_omega_lambda(eq)[0]
 
 
@@ -136,7 +136,7 @@ def test_b_matrix_symmetric_for_odd_n():
     b = b_omega_matrix(eq)
     for i in range(6):
         for j in range(6):
-            assert b.entries[i][j] == b.entries[j][i]
+            assert b[i][j] == b[j][i]
 
 
 def test_volume_normalizer():

@@ -31,8 +31,9 @@ from heavenly.grassmann import (
     translate,
     uvar,
 )
-from heavenly.linalg import RatMatrix, rank_kernel
+from heavenly.linalg import mat_vec, rank_kernel
 from heavenly.poly import Polynomial, determinant
+from dense import Dense, dense
 from test_linalg import invert
 
 
@@ -81,7 +82,7 @@ def legendre_chart_matrix(matrix, flip):
     s = sorted(set(flip))
     t = [i for i in range(1, n + 1) if i not in s]
     try:
-        ainv = invert(RatMatrix([[matrix[i - 1][j - 1] for j in s] for i in s])).entries
+        ainv = invert([[matrix[i - 1][j - 1] for j in s] for i in s])
     except ValueError:  # the flipped block is singular
         return None
     out = [[Fraction(0)] * n for _ in range(n)]
@@ -199,7 +200,7 @@ def test_two_by_two_minor_relation():
     assert (m1 - m2 + m3).is_zero()
     basis = minor_basis(4)
     rows = [decompose(m, basis) for m in (m1, m2, m3)]
-    rank, _ = rank_kernel(RatMatrix(rows))
+    rank, _ = rank_kernel(rows)
     assert rank == 2
     # decomposing the relation itself yields the zero vector
     assert all(c == 0 for c in decompose(m1 - m2 + m3, basis))
@@ -480,8 +481,8 @@ def reference_legendre_matrix(n, s):
                 j, sign = relabel[m_idx]
                 image = image + coeff * sign * polys[j]
         columns.append(decompose(image, basis))
-    return RatMatrix([[columns[k][i] for k in range(basis.dimension)]
-                      for i in range(basis.dimension)])
+    return Dense([[columns[k][i] for k in range(basis.dimension)]
+                  for i in range(basis.dimension)])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -489,7 +490,7 @@ def test_legendre_matrix_matches_sampled_reference(n):
     for size in range(1, n + 1):
         for s in combinations(range(1, n + 1), size):
             s = frozenset(s)
-            assert legendre_matrix(n, s) == reference_legendre_matrix(n, s)
+            assert dense(legendre_matrix(n, s)) == reference_legendre_matrix(n, s)
 
 
 def test_legendre_sign_that_breaks_the_involution_raises(monkeypatch):
@@ -597,7 +598,7 @@ def polynomial_legendre(eq, flip):
     from heavenly.errors import DegenerateChart
     from heavenly.grassmann import combine
 
-    poly = combine(legendre_matrix(eq.n, frozenset(flip)).mat_vec(eq.coords), eq.basis)
+    poly = combine(mat_vec(legendre_matrix(eq.n, frozenset(flip)), eq.coords), eq.basis)
     if poly.is_zero():
         raise DegenerateChart("legendre transform produced the zero polynomial")
     return MAEquation.from_poly(eq.n, poly.monic())
@@ -644,7 +645,7 @@ def sampled_meets_all_sublagrangians(eq, kernel_basis, trials=16, seed=0):
     its exact path: random rank trials certify a positive answer, and the
     symbolic minors decide the rest."""
     n = eq.n
-    mats = [RatMatrix(b) for b in kernel_basis]
+    mats = [Dense(b) for b in kernel_basis]
     d = len(mats)
     if d < n:
         return False
@@ -652,7 +653,7 @@ def sampled_meets_all_sublagrangians(eq, kernel_basis, trials=16, seed=0):
     for _ in range(trials):
         x = [Fraction(rng.randint(-1000, 1000)) for _ in range(n)]
         cols = [m.mat_vec(x) for m in mats]
-        rank, _ = rank_kernel(RatMatrix([[cols[k][i] for k in range(d)] for i in range(n)]))
+        rank, _ = rank_kernel([[cols[k][i] for k in range(d)] for i in range(n)])
         if rank == n:
             return True
     sym_cols = [[Polynomial({((f"x{j + 1}", 1),): m.entries[i][j] for j in range(n)})

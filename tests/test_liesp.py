@@ -1,11 +1,12 @@
 """sp(2n) action, symmetry algebras, reductivity, non-degeneracy."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
+from dense import Dense, dense
 from tables import (
     EXPECTED_SYMMETRY_DIMS,
     LAPLACE_3D_GENERATORS,
@@ -19,12 +20,13 @@ from heavenly.grassmann import (
     MAEquation,
     chart_vars,
     decompose,
+    legendre_matrix,
     minor_basis,
     partial_legendre,
     translate,
     uvar,
 )
-from heavenly.linalg import RatMatrix, in_row_space
+from heavenly.linalg import in_row_space
 from heavenly.liesp import (
     LieSubalgebra,
     action_matrices,
@@ -103,13 +105,28 @@ def test_action_matrices_match_corrected_derivation_oracle(n):
     basis = minor_basis(n)
     for g, matrix in zip(sp_generators(n), action_matrices(n)):
         cols = [decompose(g.corrected(p), basis) for p in basis.basis_polys]
-        assert matrix == RatMatrix([[cols[k][i] for k in range(basis.dimension)]
-                                    for i in range(basis.dimension)])
+        assert dense(matrix) == Dense([[cols[k][i] for k in range(basis.dimension)]
+                                       for i in range(basis.dimension)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_and_legendre_tables_hold_only_ints(n):
+    # the coordinate maps stay integer column tables, so no Fraction is
+    # built before a product's one division per output entry
+    dim = minor_basis(n).dimension
+    flips = [frozenset(s) for size in range(1, n + 1)
+             for s in combinations(range(1, n + 1), size)]
+    tables = list(action_matrices(n)) + [legendre_matrix(n, s) for s in flips]
+    assert len(tables) == n * (2 * n + 1) + 2 ** n - 1
+    for table in tables:
+        assert len(table) == dim
+        for column in table:
+            assert all(type(c) is int and 0 <= m < dim and q == 0 for m, c, q in column)
 
 
 def test_action_matrices_close_under_bracket():
     n = 3
-    mats = action_matrices(n)
+    mats = [dense(m) for m in action_matrices(n)]
     table = sp_structure_constants(n)
     rng = Random(4)
     pairs = [(rng.randrange(len(mats)), rng.randrange(len(mats))) for _ in range(12)]
@@ -206,7 +223,7 @@ def test_killing_form_matches_adjoint_trace(name):
     ads = [[[c[a][j][k] for j in range(dim)] for k in range(dim)] for a in range(dim)]
     expected = [[sum((ads[a][k][j] * ads[b][j][k] for j in range(dim) for k in range(dim)),
                      Fraction(0)) for b in range(dim)] for a in range(dim)]
-    assert killing_form(alg).entries == expected
+    assert killing_form(alg) == expected
 
 
 def test_symmetry_dim_invariant_under_transforms():

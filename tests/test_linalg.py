@@ -5,7 +5,8 @@ from random import Random
 
 import pytest
 
-from heavenly.linalg import RatMatrix, rank_kernel, solve_linear, row_space_basis, in_row_space
+from dense import Dense
+from heavenly.linalg import mat_vec, rank_kernel, solve_linear, row_space_basis, in_row_space
 from heavenly.linalg import rref
 
 
@@ -33,13 +34,17 @@ def naive_rank(entries):
     return rank
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def test_identity_full_rank():
-    rank, kernel = rank_kernel(RatMatrix.identity(3))
+    rank, kernel = rank_kernel(identity(3))
     assert rank == 3 and kernel == []
 
 
 def test_zero_matrix_kernel():
-    rank, kernel = rank_kernel(RatMatrix.zero(2, 5))
+    rank, kernel = rank_kernel([[Fraction(0)] * 5 for _ in range(2)])
     assert rank == 0 and len(kernel) == 5
     for i, v in enumerate(kernel):
         assert v[i] == 1
@@ -49,9 +54,9 @@ def test_rank_kernel_exactness_random():
     rng = Random(11)
     for _ in range(30):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = RatMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-                        for _ in range(cols)] for _ in range(rows)])
-        rank, kernel = rank_kernel(m)
+        m = Dense([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(cols)] for _ in range(rows)])
+        rank, kernel = rank_kernel(m.entries)
         assert rank == naive_rank(m.entries)
         assert rank + len(kernel) == cols
         for v in kernel:
@@ -62,17 +67,17 @@ def test_rank_invariant_under_row_scaling_and_permutation():
     rng = Random(5)
     for _ in range(15):
         m = [[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)]
-        base_rank, _ = rank_kernel(RatMatrix(m))
+        base_rank, _ = rank_kernel(m)
         scaled = [row[:] for row in m]
         i = rng.randrange(4)
         scaled[i] = [Fraction(7, 3) * x for x in scaled[i]]
         rng.shuffle(scaled)
-        new_rank, _ = rank_kernel(RatMatrix(scaled))
+        new_rank, _ = rank_kernel(scaled)
         assert new_rank == base_rank
 
 
 def test_solve_identity():
-    m = RatMatrix.identity(3)
+    m = identity(3)
     b = [1, Fraction(2, 3), -5]
     sol = solve_linear(m, b)
     assert sol is not None
@@ -81,13 +86,13 @@ def test_solve_identity():
 
 
 def test_solve_inconsistent():
-    m = RatMatrix.zero(2, 3)
+    m = [[Fraction(0)] * 3 for _ in range(2)]
     assert solve_linear(m, [1, 0]) is None
 
 
 def test_solve_underdetermined():
-    m = RatMatrix([[1, 1, 0], [0, 0, 1]])
-    sol = solve_linear(m, [3, 4])
+    m = Dense([[1, 1, 0], [0, 0, 1]])
+    sol = solve_linear(m.entries, [3, 4])
     assert sol is not None
     particular, kernel = sol
     assert m.mat_vec(particular) == [Fraction(3), Fraction(4)]
@@ -98,11 +103,11 @@ def test_solve_random_consistency():
     rng = Random(23)
     for _ in range(20):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = RatMatrix([[Fraction(rng.randint(-6, 6)) for _ in range(cols)]
-                       for _ in range(rows)])
+        m = Dense([[Fraction(rng.randint(-6, 6)) for _ in range(cols)]
+                   for _ in range(rows)])
         x = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
         b = m.mat_vec(x)
-        sol = solve_linear(m, b)
+        sol = solve_linear(m.entries, b)
         assert sol is not None
         particular, _ = sol
         assert m.mat_vec(particular) == b
@@ -126,28 +131,45 @@ def _random_sparse_matrix(rng, rows, cols):
     return entries
 
 
+def _random_int_rows(rng, size):
+    """A square integer matrix, at least half of its entries zero."""
+    entries = [[0] * size for _ in range(size)]
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    for i, j in rng.sample(cells, len(cells) // 2):
+        entries[i][j] = rng.randint(-9, 9)
+    return entries
+
+
+def _table(entries):
+    """The integer column table of a square list of integer rows."""
+    return tuple(tuple((i, row[j], 0) for i, row in enumerate(entries) if row[j])
+                 for j in range(len(entries)))
+
+
 def test_mat_vec_matches_dense_sum():
     rng = Random(31)
     for _ in range(40):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        entries = _random_sparse_matrix(rng, rows, cols)
-        m = RatMatrix(entries)
-        for v in ([rng.randint(-5, 5) for _ in range(cols)],
-                  [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]):
-            expected = [sum((Fraction(row[j]) * Fraction(v[j]) for j in range(cols)),
+        size = rng.randint(1, 7)
+        entries = _random_int_rows(rng, size)
+        table = _table(entries)
+        ints = [rng.randint(-5, 5) for _ in range(size)]
+        fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(size)]
+        mixed = [x if rng.random() < 0.5 else y for x, y in zip(ints, fracs)]
+        for v in (ints, fracs, mixed):
+            expected = [sum((Fraction(row[j]) * Fraction(v[j]) for j in range(size)),
                             Fraction(0)) for row in entries]
-            assert m.mat_vec(v) == expected
+            assert mat_vec(table, v) == expected
 
 
 def test_solve_linear_kernel_equals_rank_kernel():
     rng = Random(37)
     for _ in range(30):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        m = RatMatrix(_random_sparse_matrix(rng, rows, cols))
+        m = Dense(_random_sparse_matrix(rng, rows, cols))
         b = m.mat_vec([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)])
-        particular, kernel = solve_linear(m, b)
+        particular, kernel = solve_linear(m.entries, b)
         assert m.mat_vec(particular) == b
-        assert kernel == rank_kernel(m)[1]
+        assert kernel == rank_kernel(m.entries)[1]
 
 
 def test_rank_kernel_and_solve_match_sympy():
@@ -156,16 +178,16 @@ def test_rank_kernel_and_solve_match_sympy():
     for _ in range(25):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         entries = _random_sparse_matrix(rng, rows, cols)
-        m = RatMatrix(entries)
+        m = Dense(entries)
         sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
                            for row in entries])
-        rank, kernel = rank_kernel(m)
+        rank, kernel = rank_kernel(entries)
         assert rank == sm.rank()
         # both are reduced-echelon kernels with a 1 in each free column
         oracle = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in sm.nullspace()]
         assert kernel == oracle
         b = m.mat_vec([Fraction(rng.randint(-4, 4)) for _ in range(cols)])
-        particular, sol_kernel = solve_linear(m, b)
+        particular, sol_kernel = solve_linear(entries, b)
         assert sol_kernel == oracle
         sb = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in b])
         assert sm * sympy.Matrix([sympy.Rational(x.numerator, x.denominator)
@@ -173,7 +195,7 @@ def test_rank_kernel_and_solve_match_sympy():
         other = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
         so = sympy.Matrix([int(x) for x in other])
         consistent = sm.row_join(so).rank() == sm.rank()
-        assert (solve_linear(m, other) is not None) == consistent
+        assert (solve_linear(entries, other) is not None) == consistent
 
 
 def _sympy_matrix(sympy, entries):
@@ -218,21 +240,21 @@ def test_rref_matches_sympy():
         assert all(x == 0 for i in range(len(pivots), oracle.rows) for x in oracle.row(i))
 
 
-def invert(m: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square matrix; raises ValueError on singular input.
+def invert(m):
+    """Exact inverse of a square list of rows; raises ValueError on singular input.
 
     Test-only: the package no longer inverts matrices, and the Legendre
     oracle in test_grassmann.py uses this.
     """
-    if m.rows != m.cols:
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("only square matrices can be inverted")
-    n = m.rows
     aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.entries)]
+           for i, row in enumerate(m)]
     pivots, reduced = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return RatMatrix([row[n:] for row in reduced])
+    return [row[n:] for row in reduced]
 
 
 def test_invert_matches_sympy():
@@ -246,29 +268,32 @@ def test_invert_matches_sympy():
         sm = _sympy_matrix(sympy, entries)
         if sm.det() == 0:
             continue
-        inverse = invert(RatMatrix(entries))
-        assert inverse.entries == [_from_sympy(sm.inv().row(i)) for i in range(n)]
+        inverse = invert(entries)
+        assert inverse == [_from_sympy(sm.inv().row(i)) for i in range(n)]
         checked += 1
     singular = [[Fraction(1), Fraction(2)], [Fraction(1, 2), Fraction(1)]]
     with pytest.raises(ValueError):
-        invert(RatMatrix(singular))
+        invert(singular)
 
 
-def test_mat_vec_with_non_integral_rows():
-    # every row has its own denominator, some rows are zero, and the vector
-    # mixes ints with Fractions of several denominators
+def test_mat_vec_with_zero_columns_and_mixed_vectors():
+    # some columns and some rows are zero, and the vector mixes ints with
+    # Fractions of several denominators
     rng = Random(53)
     for _ in range(40):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        entries = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10 ** 9 + 7)))
-                    for _ in range(cols)] for _ in range(rows)]
-        entries[rng.randrange(rows)] = [Fraction(0)] * cols
-        m = RatMatrix(entries)
-        ints = [rng.randint(-5, 5) for _ in range(cols)]
-        fracs = [Fraction(rng.randint(-5, 5), rng.randint(1, 11)) for _ in range(cols)]
+        size = rng.randint(1, 6)
+        entries = _random_int_rows(rng, size)
+        entries[rng.randrange(size)] = [0] * size
+        zero_column = rng.randrange(size)
+        for row in entries:
+            row[zero_column] = 0
+        table = _table(entries)
+        ints = [rng.randint(-5, 5) for _ in range(size)]
+        fracs = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 7, 10 ** 9 + 7)))
+                 for _ in range(size)]
         mixed = [x if rng.random() < 0.5 else y for x, y in zip(ints, fracs)]
         for v in (ints, fracs, mixed):
-            got = m.mat_vec(v)
-            assert got == [sum((row[j] * v[j] for j in range(cols)), Fraction(0))
+            got = mat_vec(table, v)
+            assert got == [sum((row[j] * v[j] for j in range(size)), Fraction(0))
                            for row in entries]
             assert all(type(x) is Fraction for x in got)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from heavenly.errors import NotInSpan, ParseError
-from heavenly.grassmann import MAEquation, uvar
+from heavenly.grassmann import MAEquation, equation_from_json, equation_to_json, minor_basis, uvar
 from heavenly.parse import parse_equation, parse_lax_field, parse_polynomial
 from heavenly.poly import Polynomial
 
@@ -13,6 +13,25 @@ from heavenly.poly import Polynomial
 def test_first_heavenly_expression():
     eq = parse_equation("u13*u24 - u14*u23 - 1", 4)
     assert eq.poly == uvar(1, 3) * uvar(2, 4) - uvar(1, 4) * uvar(2, 3) - 1
+
+
+def test_span_elements_round_trip_through_text_and_json():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    rational = st.one_of(st.just(Fraction(0)),
+                         st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.sampled_from([2, 3, 4]))
+        dim = minor_basis(n).dimension
+        coords = data.draw(st.lists(rational, min_size=dim, max_size=dim).filter(any))
+        eq = MAEquation.from_coords(n, coords)
+        assert parse_equation(str(eq.poly), n) == eq
+        assert equation_from_json(equation_to_json(eq)) == eq
+
+    check()
 
 
 def test_hess_keyword():
@@ -110,6 +129,19 @@ def test_expansion_bound_is_checked_before_expanding():
     assert parse_polynomial("(u11+u12)^8*(u11+u22)^8", 2) == (
         (uvar(1, 1) + uvar(1, 2)) ** 8 * (uvar(1, 1) + uvar(2, 2)) ** 8)
     assert parse_polynomial("2^1000 - u11^1000", 2).degree() == 1000
+
+
+def test_degree_bound_is_checked_before_expanding():
+    from heavenly.parse import MAX_DEGREE
+
+    assert parse_polynomial(f"u11^{MAX_DEGREE}", 2).degree() == MAX_DEGREE
+    assert parse_polynomial(f"(u11*u12)^{MAX_DEGREE // 2}", 2).degree() == MAX_DEGREE
+    huge = "7" * 1000
+    for text in (f"u11^{MAX_DEGREE + 1}", f"(u11*u12)^{MAX_DEGREE // 2 + 1}",
+                 f"u11^{huge}^{huge}^{huge}^{huge}^{huge}", f"(u11^2)^{huge}"):
+        with pytest.raises(ParseError, match="'\\^' would give a degree"):
+            parse_polynomial(text, 2)
+    assert parse_polynomial(f"1^{huge}*u11", 2) == uvar(1, 1)  # constants have degree 0
 
 
 def test_long_literal_is_rejected_before_conversion():

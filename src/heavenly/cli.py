@@ -105,21 +105,25 @@ def resolve_equation(args, default_n=4) -> MAEquation:
     chosen = [x for x in (args.expr, args.builtin, args.file) if x]
     if len(chosen) != 1:
         raise CommandError("provide exactly one of --expr, --builtin, --file")
+    n = getattr(args, "n", None)
+    if args.expr:
+        return parse_equation(args.expr, default_n if n is None else n)
     if args.builtin:
         try:
-            return catalog.builtin_equation(args.builtin)
+            eq = catalog.builtin_equation(args.builtin)
         except KeyError as err:
             raise CommandError(str(err)) from None
-    if args.file:
+    else:
         try:
             with open(args.file, "r", encoding="utf-8") as handle:
-                return equation_from_json(handle.read())
+                eq = equation_from_json(handle.read())
         except (OSError, ValueError, ZeroDivisionError, TypeError) as err:
             raise CommandError(f"cannot load equation: {err}") from None
         except KeyError as err:
             raise CommandError(f"cannot load equation: missing {err}") from None
-    n = getattr(args, "n", None)
-    return parse_equation(args.expr, default_n if n is None else n)
+    if n is not None and n != eq.n:
+        raise CommandError(f"--n {n} disagrees with the loaded equation, which has n = {eq.n}")
+    return eq
 
 
 def render(report: Dict, as_json: bool) -> str:

@@ -32,7 +32,7 @@ from .grassmann import (
     uvar,
 )
 from .liesp import is_reductive, nondegenerate, symmetry_algebra
-from .linalg import in_row_space
+from .linalg import clear_row, in_row_space
 from .poly import Polynomial
 from .quartic import BinaryQuartic, is_harmonic, multiplicity_pattern, quartic_invariants
 
@@ -96,9 +96,49 @@ class Linearisability(Enum):
     DEGENERATE = "degenerate"
 
 
+def _adjugate3(m: Sequence[Sequence]) -> List[List]:
+    """Adjugate of a 3 x 3 matrix by cyclic cofactors."""
+    return [[m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+             - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+             for j in range(3)] for i in range(3)]
+
+
+def freudenthal_quartic(coords: Sequence) -> Fraction:
+    """The quartic sp(6)-invariant q of a 3D equation's canonical coordinates.
+
+    Writing F = c0 + tr(C1 U) + tr(C2 adj U) + c3 det U with C1 and C2
+    symmetric, q = (tr(C1 C2) - c0 c3)^2 + 4 c3 det C1 + 4 c0 det C2
+    - 4 tr(adj C1 adj C2), whose zero set is the dual of LG(3, 6).  The
+    coordinates are those of 1; u11, u12, u13, u22, u23, u33; the 2 x 2
+    minors with pivots u11u22, u11u23, u11u33, u12u23, u12u33, u22u33; det U
+    (`minor_basis(3)`), so 2 C1, 2 C2, 2 c0 and 2 c3 are read off them
+    without division, and q(2c) = 16 q(c) is divided by 16 once.
+    """
+    c = coords
+    a = [[2 * c[1], c[2], c[3]], [c[2], 2 * c[4], c[5]], [c[3], c[5], 2 * c[6]]]
+    b = [[2 * c[12], -c[11], c[10]], [-c[11], 2 * c[9], -c[8]], [c[10], -c[8], 2 * c[7]]]
+    c0, c3 = 2 * c[0], 2 * c[13]
+    adj_a, adj_b = _adjugate3(a), _adjugate3(b)
+    # all four matrices are symmetric, so tr(XY) is the entrywise sum
+    trace_ab = sum(x * y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    trace_adj = sum(x * y for ra, rb in zip(adj_a, adj_b) for x, y in zip(ra, rb))
+    det_a = sum(x * y[0] for x, y in zip(a[0], adj_a))
+    det_b = sum(x * y[0] for x, y in zip(b[0], adj_b))
+    return Fraction((trace_ab - c0 * c3) ** 2 + 4 * c3 * det_a + 4 * c0 * det_b
+                    - 4 * trace_adj, 16)
+
+
 def linearisable_3d(eq: MAEquation, seed: int = 0, rng: Optional[Random] = None
                     ) -> Linearisability:
-    """Nondegenerate 3D equations are linearisable iff the stabilizer has dim 9."""
+    """Nondegenerate 3D equations are linearisable iff their Freudenthal
+    quartic vanishes.
+
+    Among nondegenerate equations q(c) = 0 is exactly a 9-dimensional
+    stabilizer, the linearisable orbit; other nondegenerate equations have
+    dimension 8.  q is homogeneous of degree 4, so it is evaluated on the
+    primitive integer coordinates.  The sampled non-degeneracy check runs
+    first, and its draws from `rng` feed the caller's later samples.
+    """
     if eq.n != 3:
         raise ValueError("the linearisability test is for n = 3")
     try:
@@ -107,8 +147,7 @@ def linearisable_3d(eq: MAEquation, seed: int = 0, rng: Optional[Random] = None
         nondeg = False
     if not nondeg:
         return Linearisability.DEGENERATE
-    dim = symmetry_algebra(eq).dim
-    return (Linearisability.LINEARISABLE if dim == 9
+    return (Linearisability.LINEARISABLE if freudenthal_quartic(clear_row(eq.coords)) == 0
             else Linearisability.NOT_LINEARISABLE)
 
 

@@ -433,12 +433,24 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 
 def symbol_matrix(eq: MAEquation, point: Dict[str, Fraction]) -> List[List[Fraction]]:
-    """Linearization symbol Q with Q_aa = dF/du_aa, Q_ab = dF/du_ab / 2."""
+    """Linearization symbol Q with Q_aa = dF/du_aa, Q_ab = dF/du_ab / 2.
+
+    The gradient of F at the point is accumulated in one pass over F's terms.
+    """
+    grad: Dict[str, Fraction] = {}
+    for mono, c in eq.poly.terms.items():
+        for k, (v, e) in enumerate(mono):
+            val = c * e
+            for i, (w, f) in enumerate(mono):
+                power = f - 1 if i == k else f
+                if power:
+                    val *= point[w] ** power
+            grad[v] = grad.get(v, 0) + val
     n = eq.n
     q = [[Fraction(0)] * n for _ in range(n)]
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            val = eq.poly.partial(ucoord(a, b)).evaluate(point)
+            val = grad.get(ucoord(a, b), Fraction(0))
             if a == b:
                 q[a - 1][a - 1] = val
             else:

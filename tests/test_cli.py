@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from heavenly import catalog
 from heavenly.cli import main
+from heavenly.grassmann import equation_to_json
 
 
 def run(capsys, *argv):
@@ -186,6 +188,22 @@ def test_zero_dimension_is_rejected(capsys, command):
     code, out, err = run(capsys, command, "--expr", "u11+u22+u33", "--n", "0")
     assert code == 2
     assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_dimension_must_match_loaded_equation(tmp_path, capsys, source):
+    if source == "builtin":
+        argv = ["--builtin", "laplace"]  # the 3D Laplace equation
+    else:
+        path = tmp_path / "laplace.json"
+        path.write_text(equation_to_json(catalog.laplace(3)), encoding="utf-8")
+        argv = ["--file", str(path)]
+    code, out, err = run(capsys, "classify", *argv, "--n", "4")
+    assert code == 2
+    assert out == "" and "--n 4" in err and "n = 3" in err and "Traceback" not in err
+    plain = run(capsys, "linearisable", *argv)
+    assert plain[0] == 0
+    assert run(capsys, "linearisable", *argv, "--n", "3") == plain
 
 
 def test_classify_solves_the_4d_stabilizer_once(capsys, monkeypatch):

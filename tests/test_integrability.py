@@ -6,12 +6,13 @@ from random import Random
 import pytest
 
 from heavenly import catalog
-from heavenly.errors import NotInEF
+from heavenly.errors import NoSamplePoint, NotInEF, ZeroReduction
 from heavenly.grassmann import (
     MAEquation,
     chart_vars,
     minor_basis,
     partial_legendre,
+    translate,
     ucoord,
     uvar,
 )
@@ -25,6 +26,7 @@ from heavenly.integrability import (
     ef_basis,
     ef_coordinates,
     find_quadratic_chart,
+    freudenthal_quartic,
     identify_equation,
     integrable_4d,
     linearisable_3d,
@@ -32,7 +34,8 @@ from heavenly.integrability import (
     tangency_points,
     travelling_wave_reduce,
 )
-from heavenly.linalg import rank_kernel
+from heavenly.linalg import clear_row, mat_vec, rank_kernel
+from heavenly.liesp import action_matrices, nondegenerate, symmetry_algebra
 from heavenly.poly import Polynomial
 from heavenly.quartic import BinaryQuartic, sl2_transform
 
@@ -493,3 +496,118 @@ def test_integrable_4d_makes_no_substitution(monkeypatch):
     report = integrable_4d(catalog.husain())
     assert report.samples_run > 0
     assert calls == []
+
+
+def test_integrable_4d_makes_no_3d_stabilizer_solve(monkeypatch):
+    from heavenly import integrability, liesp
+
+    dims = []
+    original = liesp.symmetry_algebra
+
+    def counting(eq):
+        dims.append(eq.n)
+        return original(eq)
+
+    monkeypatch.setattr(liesp, "symmetry_algebra", counting)
+    monkeypatch.setattr(integrability, "symmetry_algebra", counting)
+    report = integrable_4d(catalog.husain())
+    assert report.samples_run > 0
+    assert dims == [4]
+
+
+# -- the Freudenthal quartic -------------------------------------------------
+
+
+def quartic_test_equations(rng):
+    """Seeded reductions of the 4D builtins, the 3D builtins, and random
+    integer-coordinate 3D equations, some of them sparse."""
+    from itertools import permutations
+
+    perms = list(permutations((1, 2, 3, 4)))
+    eqs = []
+    for name in catalog.builtin_names():
+        eq = catalog.builtin_equation(name)
+        if eq.n == 3:
+            eqs.append(eq)
+            continue
+        for _ in range(8):
+            try:
+                eqs.append(travelling_wave_reduce(eq, ReductionSample.random(rng),
+                                                  rng.choice(perms)))
+            except ZeroReduction:
+                pass
+    for _ in range(40):
+        density = rng.choice([(0, 0, 0, 1), (0, 1), (1,)])
+        coords = [rng.randint(-3, 3) * rng.choice(density) for _ in range(14)]
+        coords[rng.randrange(14)] = rng.randint(1, 3)
+        eqs.append(MAEquation.from_coords(3, coords))
+    return eqs
+
+
+def test_freudenthal_quartic_is_sp6_invariant():
+    # d/dt q(c + t v) at t = 0 from five exact values; q(c + t v) has degree 4
+    # in t, for which the central difference is exact
+    rng = Random(17)
+    for _ in range(6):
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(14)]
+        for table in action_matrices(3):
+            v = mat_vec(table, c)
+            f = {t: freudenthal_quartic([x + t * y for x, y in zip(c, v)])
+                 for t in (-2, -1, 1, 2)}
+            assert f[-2] - 8 * f[-1] + 8 * f[1] - f[2] == 0
+    assert len(action_matrices(3)) == 21
+
+
+def test_freudenthal_quartic_zero_iff_stabilizer_dim_9():
+    rng = Random(23)
+    seen = {True: 0, False: 0}
+    for eq in quartic_test_equations(rng):
+        try:
+            if not nondegenerate(eq, seed=5):
+                continue
+        except NoSamplePoint:
+            continue
+        zero = freudenthal_quartic(clear_row(eq.coords)) == 0
+        assert zero == (symmetry_algebra(eq).dim == 9), str(eq)
+        seen[zero] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_freudenthal_quartic_zero_set_is_preserved_by_sp6_moves():
+    from itertools import permutations
+
+    rng = Random(29)
+    eqs = quartic_test_equations(rng)
+    for eq in eqs:
+        zero = freudenthal_quartic(eq.coords) == 0
+        u0 = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                u0[i][j] = u0[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        flip = rng.sample((1, 2, 3), rng.randint(1, 3))
+        for moved in (translate(eq, u0),
+                      permute_equation(eq, rng.choice(list(permutations((1, 2, 3))))),
+                      partial_legendre(eq, flip)):
+            assert (freudenthal_quartic(moved.coords) == 0) == zero, (str(eq), str(moved))
+    assert any(freudenthal_quartic(eq.coords) for eq in eqs)
+    assert not all(freudenthal_quartic(eq.coords) for eq in eqs)
+
+
+def test_freudenthal_quartic_is_exact():
+    # hand values: Hess u = 1 is c0 = -1, c3 = 1; the elliptic and hyperbolic
+    # forms are c3 = 1, C1 = -diag(1, 1, +-1); Laplace and Kahler have q = 0
+    expected = {"hess-3d": 1, "hess-3d-elliptic": -4, "hess-3d-hyperbolic": 4,
+                "kahler": 0, "laplace": 0}
+    for name, value in expected.items():
+        eq = catalog.builtin_equation(name)
+        for coords in (eq.coords, clear_row(eq.coords), eq.scaled(Fraction(2, 3)).coords):
+            q = freudenthal_quartic(coords)
+            assert type(q) in (int, Fraction)
+            assert (q == 0) == (value == 0)
+        assert freudenthal_quartic(eq.coords) == value
+    # one coefficient present and the other thirteen missing
+    for k in range(14):
+        coords = [Fraction(0)] * 14
+        coords[k] = Fraction(3, 2)
+        q = freudenthal_quartic(MAEquation.from_coords(3, coords).coords)
+        assert type(q) in (int, Fraction) and q == 0

@@ -24,6 +24,7 @@ from heavenly.grassmann import (
     minor_basis,
     partial_legendre,
     translate,
+    ucoord,
     uvar,
 )
 from heavenly.linalg import in_row_space
@@ -39,6 +40,7 @@ from heavenly.liesp import (
     sample_zero_point,
     sp_generators,
     sp_structure_constants,
+    symbol_matrix,
     symmetry_algebra,
 )
 from heavenly.poly import Polynomial
@@ -282,6 +284,36 @@ def test_nondegenerate_examples():
     assert nondegenerate(catalog.laplace(4), seed=1) is True
     e0 = MAEquation.from_poly(4, uvar(1, 1) * uvar(2, 2) - uvar(1, 2) ** 2)
     assert nondegenerate(e0, seed=1) is False
+
+
+def partial_symbol(eq, point):
+    """Reference: the symbol as it was computed before the one-pass gradient,
+    one `partial` per chart variable, each evaluated at the point."""
+    q = [[Fraction(0)] * eq.n for _ in range(eq.n)]
+    for a in range(1, eq.n + 1):
+        for b in range(a, eq.n + 1):
+            val = eq.poly.partial(ucoord(a, b)).evaluate(point)
+            q[a - 1][b - 1] = q[b - 1][a - 1] = val if a == b else val / 2
+    return q
+
+
+def test_symbol_matrix_matches_partial_evaluate_oracle():
+    rng = Random(41)
+    eqs = [catalog.builtin_equation(name) for name in catalog.builtin_names()]
+    for n in (2, 3, 4):
+        for _ in range(6):
+            coords = [rng.choice([0, 0, rng.randint(-5, 5)])
+                      for _ in range(minor_basis(n).dimension)]
+            coords[rng.randrange(len(coords))] = rng.randint(1, 5)
+            eqs.append(MAEquation.from_coords(n, coords))
+    for eq in eqs:
+        for _ in range(4):
+            point = {v: Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 3))
+                     for v in chart_vars(eq.n)}
+            assert symbol_matrix(eq, point) == partial_symbol(eq, point)
+        if eq.poly.variables():  # a point on F = 0, as `nondegenerate` draws them
+            point = sample_zero_point(eq, rng)
+            assert symbol_matrix(eq, point) == partial_symbol(eq, point)
 
 
 def test_theorem2_consistency_3d():

@@ -53,7 +53,6 @@ from .liesp import symmetry_algebra
 from .parse import parse_equation, parse_lax_field
 
 DEFAULT_SEED = 8128
-DEFAULT_TRIALS = 50
 DEFAULT_LAX_TRIALS = 20
 
 EXIT_OK = 0
@@ -65,15 +64,6 @@ class CommandError(Exception):
     def __init__(self, message: str, code: int = EXIT_REJECTED):
         super().__init__(message)
         self.code = code
-
-
-def _add_source_options(sub, with_n=True):
-    sub.add_argument("--expr", help="equation in the expression grammar")
-    sub.add_argument("--builtin", help="named builtin equation")
-    sub.add_argument("--file", help="path to a serialized equation")
-    if with_n:
-        sub.add_argument("--n", type=int, default=None,
-                         help="dimension for --expr input")
 
 
 def _positive_int(text: str) -> int:
@@ -92,13 +82,6 @@ def _csv(text: str, kind, message: str) -> List:
         return [kind(x) for x in text.split(",")]
     except (ValueError, ZeroDivisionError):
         raise CommandError(message) from None
-
-
-def _add_common_options(sub):
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--trials", type=_positive_int, default=None)
-    sub.add_argument("--json", action="store_true", dest="as_json")
-    sub.add_argument("--timing", action="store_true")
 
 
 def resolve_equation(args, default_n=4) -> MAEquation:
@@ -179,28 +162,29 @@ def cmd_identify(args) -> Dict:
 def cmd_classify(args) -> Dict:
     eq = resolve_equation(args)
     if eq.n == 3:
-        status = linearisable_3d(eq, seed=args.seed)
-        return {
-            "command": "classify",
-            "n": 3,
-            "equation": str(eq.poly),
-            "linearisable": status.value,
-            "seed": args.seed,
-        }
-    if eq.n != 4:
+        out = {"command": "classify", "n": 3, "equation": str(eq.poly),
+               "linearisable": linearisable_3d(eq, seed=args.seed).value, "seed": args.seed}
+    elif eq.n == 4:
+        out = _classify_4d(eq, args.seed)
+    else:
         raise CommandError("classify works on dimensions 3 and 4")
-    trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    name, fp = identify_equation(eq, seed=args.seed)
-    report = integrable_4d(eq, trials=trials, seed=args.seed)
+    if args.save_eq:
+        with open(args.save_eq, "w", encoding="utf-8") as handle:
+            handle.write(equation_to_json(eq))
+        out["saved-to"] = args.save_eq
+    return out
+
+
+def _classify_4d(eq: MAEquation, seed: int) -> Dict:
+    name, fp = identify_equation(eq, seed=seed)
     out = {
         "command": "classify",
         "n": 4,
         "equation": str(eq.poly),
         "name": name if name else "unknown",
         "fingerprint": fp.as_dict(),
-        "integrability": report.as_dict(),
-        "seed": args.seed,
-        "trials": trials,
+        "integrability": integrable_4d(eq, seed=seed).as_dict(),
+        "seed": seed,
     }
     try:
         pair = ef_coordinates(eq)
@@ -224,10 +208,6 @@ def cmd_classify(args) -> Dict:
         route_agrees = (result.name == fingerprint_name) or (
             result.case in (4, 7, 10) and name is None)
         out["routes-agree"] = bool(route_agrees)
-    if args.save_eq:
-        with open(args.save_eq, "w", encoding="utf-8") as handle:
-            handle.write(equation_to_json(eq))
-        out["saved-to"] = args.save_eq
     return out
 
 
@@ -261,8 +241,7 @@ def cmd_lax_check(args) -> Dict:
         x2 = parse_lax_field(args.x2, eq.n)
         default_mode = "strict"
     mode = args.mode or default_mode
-    trials = DEFAULT_LAX_TRIALS if args.trials is None else args.trials
-    result = verify_lax(x1, x2, eq, mode, trials=trials, seed=args.seed)
+    result = verify_lax(x1, x2, eq, mode, trials=args.trials, seed=args.seed)
     return {
         "command": "lax-check",
         "equation": str(eq.poly),
@@ -349,66 +328,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heavenly",
         description="Exact classification toolkit for symplectic Monge-Ampere equations")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("basis-info", help="minor-span dimensions and basis")
-    sub.add_argument("--n", type=int, required=True)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_basis_info)
-
-    sub = subs.add_parser("classify", help="full pipeline: fingerprint, "
-                          "integrability, quartic pair")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.add_argument("--save-eq", help="write the equation to this path")
-    sub.set_defaults(handler=cmd_classify)
-
-    sub = subs.add_parser("identify", help="name the equation by its fingerprint")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_identify)
-
-    sub = subs.add_parser("symmetry", help="stabilizer subalgebra report")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_symmetry)
-
-    sub = subs.add_parser("lambda", help="vanishing of the pairing invariant")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_lambda)
-
-    sub = subs.add_parser("lax-check", help="verify a Lax pair on the variety")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.add_argument("--builtin-pair", help="catalogued pair name")
-    sub.add_argument("--x1", help="first field expression")
-    sub.add_argument("--x2", help="second field expression")
-    sub.add_argument("--mode", choices=["strict", "mod-span"])
-    sub.set_defaults(handler=cmd_lax_check)
-
-    sub = subs.add_parser("reduce", help="travelling-wave reduction to n = 3")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.add_argument("--k", help="three comma-separated direction constants")
-    sub.add_argument("--q", help="ten comma-separated quadratic-shift entries")
-    sub.set_defaults(handler=cmd_reduce)
-
-    sub = subs.add_parser("legendre", help="partial Legendre chart change")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.add_argument("--flip", help="comma-separated index pairs to flip")
-    sub.set_defaults(handler=cmd_legendre)
-
-    sub = subs.add_parser("singular", help="singular locus of a quadratic equation")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_singular)
-
-    sub = subs.add_parser("linearisable", help="3D linearisability test")
-    _add_source_options(sub)
-    _add_common_options(sub)
-    sub.set_defaults(handler=cmd_linearisable)
-
+    source = [("--expr", {"help": "equation in the expression grammar"}),
+              ("--builtin", {"help": "named builtin equation"}),
+              ("--file", {"help": "path to a serialized equation"}),
+              ("--n", {"type": int, "default": None, "help": "dimension for --expr input"})]
+    seed = [("--seed", {"type": int, "default": DEFAULT_SEED})]
+    commands = [  # each command gets only the options it reads, then --json and --timing
+        ("basis-info", cmd_basis_info, "minor-span dimensions and basis",
+         [("--n", {"type": int, "required": True})]),
+        ("classify", cmd_classify, "full pipeline: fingerprint, integrability, quartic pair",
+         source + seed + [("--save-eq", {"help": "write the equation to this path"})]),
+        ("identify", cmd_identify, "name the equation by its fingerprint", source + seed),
+        ("symmetry", cmd_symmetry, "stabilizer subalgebra report", source),
+        ("lambda", cmd_lambda, "vanishing of the pairing invariant", source),
+        ("lax-check", cmd_lax_check, "verify a Lax pair on the variety", source + seed + [
+            ("--trials", {"type": _positive_int, "default": DEFAULT_LAX_TRIALS}),
+            ("--builtin-pair", {"help": "catalogued pair name"}),
+            ("--x1", {"help": "first field expression"}),
+            ("--x2", {"help": "second field expression"}),
+            ("--mode", {"choices": ["strict", "mod-span"]})]),
+        ("reduce", cmd_reduce, "travelling-wave reduction to n = 3", source + seed + [
+            ("--k", {"help": "three comma-separated direction constants"}),
+            ("--q", {"help": "ten comma-separated quadratic-shift entries"})]),
+        ("legendre", cmd_legendre, "partial Legendre chart change",
+         source + [("--flip", {"help": "comma-separated index pairs to flip"})]),
+        ("singular", cmd_singular, "singular locus of a quadratic equation", source),
+        ("linearisable", cmd_linearisable, "3D linearisability test", source + seed),
+    ]
+    for name, handler, text, options in commands:
+        sub = subs.add_parser(name, help=text)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
+        sub.add_argument("--json", action="store_true", dest="as_json")
+        sub.add_argument("--timing", action="store_true")
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -425,6 +425,30 @@ def _restrict_table(n: int, perm: Tuple[int, ...], m: int):
              for a, qa in rows_of(r) for b, qb in rows_of(c)] for r, c in _minor_pairs(n)]
 
 
+def pullback_walk(n: int, coords: Sequence, perm: Tuple[int, ...], t: Optional[Sequence] = None,
+                  d: int = 1, kk: Optional[Sequence] = None) -> List:
+    """The table walk of `pullback_coords` on elements of any ring: ints, or
+    Polynomials for the reduction identity.
+
+    coords are an n-dimensional equation's canonical coordinates, t the
+    n * n entries of P^T T P row by row, times d, and kk is
+    (k_1, ..., k_(n-1), 1) times a scale e, or None for no restriction.
+    The result is the image's canonical coordinates times d^n (when t is
+    given) and e^2.
+    """
+    raw = apply_table(coords, _minor_maps(n)[0], len(_minor_pairs(n)))
+    if t is not None:
+        minors: List = []  # the raw minors of t, then scaled by d^(n - size)
+        for terms in _laplace_table(n):
+            minors.append(sum([s * t[f] * minors[q] for s, f, q in terms]) if terms else 1)
+        minors = [v * d ** (n - len(r)) for v, (r, _) in zip(minors, _minor_pairs(n))]
+        raw = apply_table(raw, _shift_table(n), len(raw), minors)
+    m, kk = (n, [0] * n + [1]) if kk is None else (n - 1, kk)
+    raw = apply_table(raw, _restrict_table(n, perm, m), len(_minor_pairs(m)),
+                      [a * b for a in kk for b in kk])
+    return apply_table(raw, _minor_maps(m)[1], minor_basis(m).dimension)
+
+
 def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
                     shift: Optional[Sequence[Sequence]] = None,
                     k: Optional[Sequence] = None) -> List[Fraction]:
@@ -435,8 +459,8 @@ def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
     that U[a][b] = V[perm(a)][perm(b)], `shift` is the symmetric T (read off
     its upper triangle), and `k`, if given, restricts V = K^T W K + T to
     K = [I | k], one dimension down.  Each step is a sparse integer map of
-    the raw minors: the shift is the n-th exterior power of
-    [[I, 0], [T, I]], det(X + T)[R, C] = sum (-1)^(pos A + pos B)
+    the raw minors (`pullback_walk`): the shift is the n-th exterior power
+    of [[I, 0], [T, I]], det(X + T)[R, C] = sum (-1)^(pos A + pos B)
     det X[A, B] det T[R - A, C - B], and the rest is Cauchy-Binet.  eq's
     coordinates, T and k are cleared of denominators first, so only the
     output coordinates are Fractions.
@@ -444,21 +468,14 @@ def pullback_coords(eq: MAEquation, perm: Sequence[int] = (),
     n = eq.n
     perm = tuple(perm) or tuple(range(1, n + 1))
     coords, den = over_common_denominator(eq.coords)
-    raw = apply_table(coords, _minor_maps(n)[0], len(_minor_pairs(n)))
+    t, d = None, 1
     if shift is not None:
         t, d = over_common_denominator([Fraction(shift[min(p, q) - 1][max(p, q) - 1])
                                         for p in perm for q in perm])
-        minors: List[int] = []  # the raw minors of P^T t P, then scaled by d^(n - size)
-        for terms in _laplace_table(n):
-            minors.append(sum([s * t[f] * minors[q] for s, f, q in terms]) if terms else 1)
-        minors = [v * d ** (n - len(r)) for v, (r, _) in zip(minors, _minor_pairs(n))]
-        raw, den = apply_table(raw, _shift_table(n), len(raw), minors), den * d ** n
-    m, kk = (n - 1, [Fraction(x) for x in k]) if k is not None else (n, [0] * n)
-    kk, d = over_common_denominator(kk + [1])
-    raw = apply_table(raw, _restrict_table(n, perm, m), len(_minor_pairs(m)),
-                      [a * b for a in kk for b in kk])
-    return [Fraction(x, den * d * d) for x in
-            apply_table(raw, _minor_maps(m)[1], minor_basis(m).dimension)]
+    kk, e = None, 1
+    if k is not None:
+        kk, e = over_common_denominator([Fraction(x) for x in k] + [1])
+    return [Fraction(x, den * d ** n * e * e) for x in pullback_walk(n, coords, perm, t, d, kk)]
 
 
 def partial_legendre(eq: MAEquation, flip: Sequence[int]) -> MAEquation:

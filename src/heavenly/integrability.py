@@ -1,12 +1,14 @@
 """Travelling-wave reductions, integrability decisions, and classification.
 
 A 4D equation is integrable iff every nondegenerate travelling-wave
-reduction is a linearisable 3D equation; exact random sampling of the
-reduction parameters makes one failing sample a proof of non-integrability,
-while many passing samples plus the singular-variety evidence support the
-positive verdict.  Purely quadratic representatives are classified exactly
-through the pair of binary quartics attached to the ten-dimensional space
-of doubly-tangent quadratic equations.
+reduction is a linearisable 3D equation, and a nondegenerate 3D equation is
+linearisable iff its Freudenthal quartic q vanishes; a degenerate one has
+q = 0 as well.  Each reduction is a linear map c -> R(k, T) c of the
+canonical coordinates, so integrability is one polynomial identity,
+P(k, t) = q(R(k, t) c) = 0, decided exactly (`integrable_4d`).  Purely
+quadratic representatives are classified exactly through the pair of binary
+quartics attached to the ten-dimensional space of doubly-tangent quadratic
+equations.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from random import Random
+from itertools import combinations, islice
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NoSamplePoint, NotInEF, ZeroReduction
+from .errors import InvariantViolation, NoSamplePoint, NotInEF, ZeroReduction
 from .forms import b_omega_lambda
 from .grassmann import (
     LagrangePoint,
@@ -27,6 +28,7 @@ from .grassmann import (
     osculating_containment,
     partial_legendre,
     pullback_coords,
+    pullback_walk,
     singular_locus_quadratic,
     meets_all_sublagrangians,
     uvar,
@@ -59,15 +61,6 @@ class ReductionSample:
     @classmethod
     def zero(cls, k=(0, 0, 0)) -> "ReductionSample":
         return cls.from_values(k, [[0] * 4 for _ in range(4)])
-
-    @classmethod
-    def random(cls, rng: Random) -> "ReductionSample":
-        k = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
-        q = [[Fraction(0)] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                q[i][j] = q[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
-        return cls.from_values(k, q)
 
 
 def travelling_wave_reduce(eq: MAEquation, sample: ReductionSample,
@@ -114,7 +107,11 @@ def freudenthal_quartic(coords: Sequence) -> Fraction:
     (`minor_basis(3)`), so 2 C1, 2 C2, 2 c0 and 2 c3 are read off them
     without division, and q(2c) = 16 q(c) is divided by 16 once.
     """
-    c = coords
+    return Fraction(_sixteen_q(coords), 16)
+
+
+def _sixteen_q(c: Sequence):
+    """16 q(c), without division: the same formula on ints, Fractions and Polynomials."""
     a = [[2 * c[1], c[2], c[3]], [c[2], 2 * c[4], c[5]], [c[3], c[5], 2 * c[6]]]
     b = [[2 * c[12], -c[11], c[10]], [-c[11], 2 * c[9], -c[8]], [c[10], -c[8], 2 * c[7]]]
     c0, c3 = 2 * c[0], 2 * c[13]
@@ -124,12 +121,10 @@ def freudenthal_quartic(coords: Sequence) -> Fraction:
     trace_adj = sum(x * y for ra, rb in zip(adj_a, adj_b) for x, y in zip(ra, rb))
     det_a = sum(x * y[0] for x, y in zip(a[0], adj_a))
     det_b = sum(x * y[0] for x, y in zip(b[0], adj_b))
-    return Fraction((trace_ab - c0 * c3) ** 2 + 4 * c3 * det_a + 4 * c0 * det_b
-                    - 4 * trace_adj, 16)
+    return (trace_ab - c0 * c3) ** 2 + 4 * c3 * det_a + 4 * c0 * det_b - 4 * trace_adj
 
 
-def linearisable_3d(eq: MAEquation, seed: int = 0, rng: Optional[Random] = None
-                    ) -> Linearisability:
+def linearisable_3d(eq: MAEquation, seed: int = 0) -> Linearisability:
     """Nondegenerate 3D equations are linearisable iff their Freudenthal
     quartic vanishes.
 
@@ -137,12 +132,12 @@ def linearisable_3d(eq: MAEquation, seed: int = 0, rng: Optional[Random] = None
     stabilizer, the linearisable orbit; other nondegenerate equations have
     dimension 8.  q is homogeneous of degree 4, so it is evaluated on the
     primitive integer coordinates.  The sampled non-degeneracy check runs
-    first, and its draws from `rng` feed the caller's later samples.
+    first, at `seed`.
     """
     if eq.n != 3:
         raise ValueError("the linearisability test is for n = 3")
     try:
-        nondeg = nondegenerate(eq, seed=seed, rng=rng)
+        nondeg = nondegenerate(eq, seed=seed)
     except NoSamplePoint:
         nondeg = False
     if not nondeg:
@@ -208,8 +203,6 @@ class Verdict(Enum):
 @dataclass
 class IntegrabilityReport:
     verdict: Verdict
-    samples_run: int = 0
-    degenerate_skipped: int = 0
     failing_sample: Optional[dict] = None
     nondegenerate: bool = True
     symmetry_dim: Optional[int] = None
@@ -220,12 +213,7 @@ class IntegrabilityReport:
     notes: List[str] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        out = {
-            "verdict": self.verdict.value,
-            "samples-run": self.samples_run,
-            "degenerate-skipped": self.degenerate_skipped,
-            "nondegenerate": self.nondegenerate,
-        }
+        out = {"verdict": self.verdict.value, "nondegenerate": self.nondegenerate}
         if self.symmetry_dim is not None:
             out["symmetry-dim"] = self.symmetry_dim
         if self.failing_sample is not None:
@@ -241,20 +229,61 @@ class IntegrabilityReport:
         return out
 
 
-def integrable_4d(eq: MAEquation, trials: int = 50, seed: int = 0) -> IntegrabilityReport:
-    """Decide integrability of a 4D equation by exhausting reduction samples.
+IDENTITY_VARS = ("k1", "k2", "k3", "t1", "t2", "t3", "t4")
 
-    Every nondegenerate travelling-wave reduction (over random directions,
-    quadratic shifts and coordinate permutations) must be linearisable; one
-    exact failure is a counterexample.  Purely quadratic representatives
-    contribute the singular-variety evidence, and equations with the full
-    n^2-dimensional stabilizer are reported as linearisable outright.
+
+def reduction_coords(eq: MAEquation) -> List[Polynomial]:
+    """R(k, t) c: the canonical coordinates of the reductions along k with the
+    shift T whose nonzero entries are T[a][4] = T[4][a] = t_a, as Polynomials
+    in `IDENTITY_VARS`, for eq's primitive integer coordinates c.
+
+    Each has degree at most 2 in k (the minors of K = [I | k] are linear in
+    k) and at most 2 in t (T has rank at most 2)."""
+    k1, k2, k3, *t = map(Polynomial.variable, IDENTITY_VARS)
+    shift = [[0, 0, 0, t[a]] for a in range(3)] + [t]
+    return [Polynomial.zero() + x for x in pullback_walk(
+        4, clear_row(eq.coords), (1, 2, 3, 4), sum(shift, []), 1, [k1, k2, k3, 1])]
+
+
+def _lattice():
+    """simplex(3, 8) x simplex(4, 8) as points (k, t) of N^7, by total degree
+    and then in stars-and-bars order, generated one at a time."""
+    for total in range(17):
+        for bars in combinations(range(total + 6), 6):
+            m = [b - a - 1 for a, b in zip((-1,) + bars, bars + (total + 6,))]
+            if max(sum(m[:3]), sum(m[3:])) <= 8:
+                yield m
+
+
+def _first_nonzero(coords: Sequence[Polynomial], points) -> Optional[List[int]]:
+    """The first of `points` where 16 q(coords) is nonzero, or None."""
+    return next((m for m in points if _sixteen_q(
+        [c.evaluate(dict(zip(IDENTITY_VARS, m))) for c in coords])), None)
+
+
+def integrable_4d(eq: MAEquation, seed: int = 0) -> IntegrabilityReport:
+    """Decide integrability of a 4D equation by one exact polynomial identity.
+
+    Nondegenerate reductions must be linearisable, i.e. have Freudenthal
+    quartic q = 0, and degenerate ones have q = 0 too, so eq is integrable
+    iff P = q(R(k, Q) c) is the zero polynomial.  Seven variables suffice:
+    Q - K^T S K (S symmetric 3 x 3) gives a translate of the reduction, and
+    a change of basis of K's rows a GL(3) move, both Sp(6) moves, so Q may
+    be the T of `reduction_coords` and the identity permutation's chart,
+    dense in Gr(3, 4), serves for all.  P has bidegree at most (8, 8) in
+    (k, t), so a nonzero P is nonzero on the product of unisolvent lattices
+    simplex(3, 8) x simplex(4, 8).  The first such point is the failing
+    sample, with Q = T / 2, re-checked on `travelling_wave_reduce`; the 8
+    points of total degree <= 1 are tried before P is expanded, which a
+    nonzero value there makes unnecessary.  Only eq's own non-degeneracy
+    is sampled, at `seed`.  Purely quadratic representatives add the
+    singular-variety evidence, and equations with the full
+    n^2-dimensional stabilizer are reported as linearisable.
     """
     if eq.n != 4:
         raise ValueError("the integrability decision is for n = 4")
-    rng = Random(seed)
     report = IntegrabilityReport(Verdict.INTEGRABLE)
-    if not nondegenerate(eq, rng=rng):
+    if not nondegenerate(eq, seed=seed):
         report.verdict = Verdict.DEGENERATE
         report.nondegenerate = False
         return report
@@ -267,27 +296,20 @@ def integrable_4d(eq: MAEquation, trials: int = 50, seed: int = 0) -> Integrabil
         report.singular_dim = dim
         report.meets_all = meets_all_sublagrangians(moved, kernel)
 
-    perms = list(permutations((1, 2, 3, 4)))
-    for _ in range(trials):
-        sample = ReductionSample.random(rng)
-        perm = perms[rng.randrange(len(perms))]
-        try:
-            reduced = travelling_wave_reduce(eq, sample, perm)
-        except ZeroReduction:
-            report.degenerate_skipped += 1
-            continue
-        status = linearisable_3d(reduced, rng=rng)
-        report.samples_run += 1
-        if status is Linearisability.DEGENERATE:
-            report.degenerate_skipped += 1
-        elif status is Linearisability.NOT_LINEARISABLE:
-            report.verdict = Verdict.NOT_INTEGRABLE
-            report.failing_sample = {
-                "permutation": list(perm),
-                "k": [str(x) for x in sample.k],
-                "q": [[str(x) for x in row] for row in sample.q],
-            }
-            break
+    coords, points = reduction_coords(eq), _lattice()
+    m = _first_nonzero(coords, islice(points, 8))
+    if m is None and _sixteen_q(coords):
+        m = _first_nonzero(coords, points)
+        if m is None:
+            raise InvariantViolation("the reduction identity fails but vanishes on its lattice")
+    if m is not None:
+        q = [[0, 0, 0, Fraction(x, 2)] for x in m[3:6]] + [[Fraction(x, 2) for x in m[3:]]]
+        sample = ReductionSample.from_values(m[:3], q)
+        if not freudenthal_quartic(travelling_wave_reduce(eq, sample).coords):
+            raise InvariantViolation("the reduction identity's witness has q = 0")
+        report.verdict = Verdict.NOT_INTEGRABLE
+        report.failing_sample = {"permutation": [1, 2, 3, 4], "k": [str(x) for x in sample.k],
+                                 "q": [[str(x) for x in row] for row in sample.q]}
 
     if report.verdict is Verdict.INTEGRABLE:
         if report.symmetry_dim == 16:
@@ -300,7 +322,7 @@ def integrable_4d(eq: MAEquation, trials: int = 50, seed: int = 0) -> Integrabil
         if report.quadratic_flip is not None and report.verdict is Verdict.INTEGRABLE:
             if report.singular_dim != 4 or not report.meets_all:
                 report.notes.append(
-                    "singular-variety evidence disagrees with reduction sampling")
+                    "singular-variety evidence disagrees with the reduction identity")
     return report
 
 

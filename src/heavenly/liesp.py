@@ -459,16 +459,17 @@ def symbol_matrix(eq: MAEquation, point: Dict[str, Fraction]) -> List[List[Fract
     return q
 
 
-def nondegenerate(eq: MAEquation, samples: int = 6, seed: int = 0, rng=None) -> bool:
+@lru_cache(maxsize=1)
+def nondegenerate(eq: MAEquation, samples: int = 6, seed: int = 0) -> bool:
     """Whether the symbol is an irreducible quadratic form (rank >= 3) on {F=0}.
 
     Rank <= 2 quadratic forms factor over C, hence are reducible; a single
-    exact sample of rank >= 3 certifies non-degeneracy.
+    exact sample of rank >= 3 certifies non-degeneracy.  The last result is
+    kept: `classify` asks for it from the fingerprint and from `integrable_4d`.
     """
     from random import Random
 
-    if rng is None:
-        rng = Random(seed)
+    rng = Random(seed)
     for _ in range(samples):
         point = sample_zero_point(eq, rng)
         rank, _ = rank_kernel(symbol_matrix(eq, point))

@@ -16,6 +16,7 @@ u11^2 > u11*u12 > u12^2.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Mapping, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -199,16 +200,15 @@ class Polynomial:
         other = _promote(other)
         if other is NotImplemented:
             return NotImplemented
-        out: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        # products and sums run on integer numerators over one denominator
+        # per factor, and each output coefficient becomes one Fraction
+        (n1, d1), (n2, d2) = _numerators(self), _numerators(other)
+        out: Dict[Monomial, int] = {}
+        for m1, c1 in n1:
+            for m2, c2 in n2:
                 mono = _mono_mul(m1, m2)
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-        return _raw(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return _raw({m: Fraction(s, d1 * d2) for m, s in out.items() if s})
 
     __rmul__ = __mul__
 
@@ -337,6 +337,12 @@ def _raw(terms: Dict[Monomial, Fraction]) -> Polynomial:
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def _numerators(p: Polynomial):
+    """p's terms as (monomial, integer numerator) over their least common denominator."""
+    d = lcm(*[c.denominator for c in p.terms.values()])
+    return [(m, c.numerator * (d // c.denominator)) for m, c in p.terms.items()], d
 
 
 def _promote(value) -> Polynomial:

@@ -17,8 +17,7 @@ def run(capsys, *argv):
 
 
 def test_classify_husain(capsys):
-    code, out, _ = run(capsys, "classify", "--builtin", "husain",
-                       "--trials", "6", "--json")
+    code, out, _ = run(capsys, "classify", "--builtin", "husain", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["name"] == "Husain"
@@ -29,8 +28,7 @@ def test_classify_husain(capsys):
 
 
 def test_classify_hess_not_integrable(capsys):
-    code, out, _ = run(capsys, "classify", "--builtin", "hess",
-                       "--trials", "10", "--json")
+    code, out, _ = run(capsys, "classify", "--builtin", "hess", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["name"] == "unknown"
@@ -43,8 +41,7 @@ def test_classify_quadratic_routes_cross_check(capsys):
     # the Husain-equivalent quadratic goes through both routes
     code, out, _ = run(capsys, "classify",
                        "--expr",
-                       "u13*u24 - u12*u34 - u11*u22 + u12^2 + u11*u33 - u13^2",
-                       "--trials", "6", "--json")
+                       "u13*u24 - u12*u34 - u11*u22 + u12^2 + u11*u33 - u13^2", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["quartic-pair"]["case"] == 2
@@ -282,22 +279,76 @@ def test_unknown_builtin_lists_names(capsys):
 
 
 def test_reports_byte_identical(capsys):
-    first = run(capsys, "classify", "--builtin", "husain", "--trials", "5")
-    second = run(capsys, "classify", "--builtin", "husain", "--trials", "5")
+    first = run(capsys, "classify", "--builtin", "husain")
+    second = run(capsys, "classify", "--builtin", "husain")
     assert first == second
-    third = run(capsys, "classify", "--builtin", "husain", "--trials", "5",
-                "--seed", "99")
+    third = run(capsys, "classify", "--builtin", "husain", "--seed", "99")
     assert third[0] == 0
 
 
 def test_save_and_load_equation(tmp_path, capsys):
     path = tmp_path / "husain.json"
     code, out, _ = run(capsys, "classify", "--builtin", "husain",
-                       "--trials", "4", "--save-eq", str(path), "--json")
+                       "--save-eq", str(path), "--json")
     assert code == 0
     code, out, _ = run(capsys, "identify", "--file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["name"] == "Husain"
+
+
+def test_classify_saves_a_3d_equation(tmp_path, capsys):
+    path = tmp_path / "laplace.json"
+    code, out, _ = run(capsys, "classify", "--builtin", "laplace", "--save-eq", str(path),
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["saved-to"] == str(path)
+    code, out, _ = run(capsys, "linearisable", "--file", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["equation"] == "u11 + u22 + u33"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("classify", "--builtin", "husain", "--trials", "5"), "--trials"),
+    (("basis-info", "--n", "3", "--seed", "1"), "--seed"),
+    (("symmetry", "--builtin", "husain", "--seed", "1"), "--seed"),
+    (("legendre", "--builtin", "husain", "--flip", "1", "--trials", "2"), "--trials"),
+])
+def test_options_are_accepted_only_where_read(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exited:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert captured.out == "" and flag in captured.err and "Traceback" not in captured.err
+
+
+def test_classify_husain_is_integrable_at_every_seed(capsys):
+    for seed in range(10):
+        code, out, _ = run(capsys, "classify", "--builtin", "husain", "--seed", str(seed),
+                           "--json")
+        assert code == 0
+        integrability = json.loads(out)["integrability"]
+        assert integrability["verdict"] == "integrable"
+        assert not {"samples-run", "degenerate-skipped"} & set(integrability)
+
+
+def test_classify_tests_4d_nondegeneracy_once(capsys, monkeypatch):
+    from heavenly import liesp
+
+    draws = []
+    sample_zero_point = liesp.sample_zero_point
+
+    def counted(eq, rng, budget=200):
+        draws.append(eq.n)
+        return sample_zero_point(eq, rng, budget)
+
+    monkeypatch.setattr(liesp, "sample_zero_point", counted)
+    liesp.nondegenerate.cache_clear()  # as in a fresh process
+    assert run(capsys, "identify", "--builtin", "husain")[0] == 0  # one nondegenerate call
+    once = draws.count(4)
+    draws.clear()
+    liesp.nondegenerate.cache_clear()
+    assert run(capsys, "classify", "--builtin", "husain")[0] == 0
+    assert draws.count(4) == once > 0
 
 
 def test_timing_flag_adds_field(capsys):

@@ -1,23 +1,26 @@
 """Reductions, integrability verdicts, quartic-pair classification, fingerprints."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
 from heavenly import catalog
-from heavenly.errors import NoSamplePoint, NotInEF, ZeroReduction
+from heavenly.errors import InvariantViolation, NoSamplePoint, NotInEF, ZeroReduction
 from heavenly.grassmann import (
     MAEquation,
     chart_vars,
     minor_basis,
     partial_legendre,
+    pullback_coords,
     translate,
     ucoord,
     uvar,
 )
 from heavenly.integrability import (
     CASE_NAMES,
+    IDENTITY_VARS,
     Linearisability,
     QuarticPair,
     ReductionSample,
@@ -31,6 +34,7 @@ from heavenly.integrability import (
     integrable_4d,
     linearisable_3d,
     permute_equation,
+    reduction_coords,
     tangency_points,
     travelling_wave_reduce,
 )
@@ -38,6 +42,7 @@ from heavenly.linalg import clear_row, mat_vec, rank_kernel
 from heavenly.liesp import action_matrices, nondegenerate, symmetry_algebra
 from heavenly.poly import Polynomial
 from heavenly.quartic import BinaryQuartic, sl2_transform
+from sampled import PERMUTATIONS, random_sample, sampled_integrable
 
 
 def quartic(*coeffs):
@@ -78,7 +83,7 @@ def test_reduction_matches_matrix_oracle():
     for name in ("second-heavenly", "husain"):
         eq = catalog.builtin_equation(name)
         for _ in range(5):
-            sample = ReductionSample.random(rng)
+            sample = random_sample(rng)
             j = [[Fraction(int(c == a)) for a in range(3)] + [sample.k[c]]
                  for c in range(3)]
             mapping = {}
@@ -98,14 +103,14 @@ def test_reduction_matches_matrix_oracle():
 def test_reduction_of_linear_equation_is_linear():
     eq = catalog.linear_wave()
     rng = Random(4)
-    out = travelling_wave_reduce(eq, ReductionSample.random(rng))
+    out = travelling_wave_reduce(eq, random_sample(rng))
     assert out.n == 3 and out.poly.degree() <= 1
 
 
 def test_reduction_of_hess_decomposes():
     eq = catalog.hess_equation(4)
     rng = Random(5)
-    out = travelling_wave_reduce(eq, ReductionSample.random(rng))
+    out = travelling_wave_reduce(eq, random_sample(rng))
     assert out.n == 3  # from_poly validates span membership
     # degenerate direction: zero k and Q kill every minor through column 4
     flat = travelling_wave_reduce(eq, ReductionSample.zero())
@@ -137,7 +142,7 @@ def test_degenerate_reduction_reported():
 
 @pytest.mark.parametrize("name", list(catalog.NORMAL_FORMS))
 def test_integrable_4d_normal_forms(name):
-    report = integrable_4d(catalog.builtin_equation(name), trials=10, seed=7)
+    report = integrable_4d(catalog.builtin_equation(name), seed=7)
     if name == "linear-wave":
         assert report.verdict is Verdict.LINEARISABLE
         assert report.osculating_flip is not None
@@ -148,17 +153,16 @@ def test_integrable_4d_normal_forms(name):
 
 
 def test_integrable_4d_hess_counterexample():
-    report = integrable_4d(catalog.hess_equation(4), trials=10, seed=7)
+    report = integrable_4d(catalog.hess_equation(4), seed=7)
     assert report.verdict is Verdict.NOT_INTEGRABLE
     assert report.failing_sample is not None
-    assert report.samples_run <= 10
     assert report.quadratic_flip == (1, 2)
     assert report.singular_dim == 4 and report.meets_all is False
 
 
 def test_integrable_4d_degenerate_input():
     eq = MAEquation.from_poly(4, uvar(1, 1) * uvar(2, 2) - uvar(1, 2) ** 2)
-    report = integrable_4d(eq, trials=4, seed=1)
+    report = integrable_4d(eq, seed=1)
     assert report.verdict is Verdict.DEGENERATE
 
 
@@ -366,7 +370,7 @@ def test_reduction_with_permutation_equals_permuted_reduction():
     rng = Random(59)
     for eq in (catalog.husain(), catalog.general_heavenly()):
         for perm in permutations((1, 2, 3, 4)):
-            sample = ReductionSample.random(rng)
+            sample = random_sample(rng)
             try:
                 expected = travelling_wave_reduce(permute_equation(eq, perm), sample)
             except ZeroReduction:
@@ -441,7 +445,7 @@ def reduction_samples(rng):
         return q
     k = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3)]
     k_zeros = [x if rng.random() < 0.4 else Fraction(0) for x in k]
-    return [ReductionSample.random(rng),
+    return [random_sample(rng),
             ReductionSample.from_values(k_zeros, q_matrix((1, 2))),
             ReductionSample.zero(k),
             ReductionSample.from_values(k, q_matrix((3, 5, 7))),
@@ -493,8 +497,7 @@ def test_integrable_4d_makes_no_substitution(monkeypatch):
         return original(self, mapping)
 
     monkeypatch.setattr(Polynomial, "subs", counting)
-    report = integrable_4d(catalog.husain())
-    assert report.samples_run > 0
+    integrable_4d(catalog.husain())
     assert calls == []
 
 
@@ -510,8 +513,7 @@ def test_integrable_4d_makes_no_3d_stabilizer_solve(monkeypatch):
 
     monkeypatch.setattr(liesp, "symmetry_algebra", counting)
     monkeypatch.setattr(integrability, "symmetry_algebra", counting)
-    report = integrable_4d(catalog.husain())
-    assert report.samples_run > 0
+    integrable_4d(catalog.husain())
     assert dims == [4]
 
 
@@ -532,7 +534,7 @@ def quartic_test_equations(rng):
             continue
         for _ in range(8):
             try:
-                eqs.append(travelling_wave_reduce(eq, ReductionSample.random(rng),
+                eqs.append(travelling_wave_reduce(eq, random_sample(rng),
                                                   rng.choice(perms)))
             except ZeroReduction:
                 pass
@@ -611,3 +613,115 @@ def test_freudenthal_quartic_is_exact():
         coords[k] = Fraction(3, 2)
         q = freudenthal_quartic(MAEquation.from_coords(3, coords).coords)
         assert type(q) in (int, Fraction) and q == 0
+
+
+# -- the reduction identity ----------------------------------------------------
+
+
+def sparse_4d_equations(rng, count):
+    """Seeded 4D equations with about five small nonzero integer coordinates."""
+    eqs = []
+    for _ in range(count):
+        coords = [rng.randint(-2, 2) * (rng.random() < 0.12) for _ in range(42)]
+        coords[rng.randrange(42)] = rng.randint(1, 2)
+        eqs.append(MAEquation.from_coords(4, coords))
+    return eqs
+
+
+def sp_moved(rng, eq):
+    """eq translated by an integer U0, Legendre-flipped and relabelled."""
+    u0 = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            u0[i][j] = u0[j][i] = rng.randint(-2, 2)
+    flip = rng.sample((1, 2, 3, 4), rng.randint(1, 2))
+    return permute_equation(partial_legendre(translate(eq, u0), flip), rng.sample((1, 2, 3, 4), 4))
+
+
+BUILTINS_4D = [name for name in catalog.builtin_names() if catalog.builtin_equation(name).n == 4]
+
+
+def test_degenerate_reductions_have_zero_quartic():
+    # the identity counts a degenerate reduction as one with q = 0
+    rng = Random(31)
+    eqs = quartic_test_equations(rng)
+    for _ in range(60):
+        coords = [rng.randint(-2, 2) * (rng.random() < 0.2) for _ in range(14)]
+        coords[rng.randrange(14)] = 1
+        eqs.append(MAEquation.from_coords(3, coords))
+    for eq in sparse_4d_equations(rng, 40):
+        for _ in range(3):
+            try:
+                eqs.append(travelling_wave_reduce(eq, random_sample(rng), rng.choice(PERMUTATIONS)))
+            except ZeroReduction:
+                pass
+    degenerate = [eq for eq in eqs
+                  if linearisable_3d(eq, seed=rng.randrange(100)) is Linearisability.DEGENERATE]
+    assert [str(eq) for eq in degenerate if freudenthal_quartic(eq.coords)] == []
+    assert len(degenerate) >= 30
+
+
+def test_reduction_identity_matches_sampled_oracle():
+    rng = Random(37)
+    eqs = [catalog.builtin_equation(name) for name in BUILTINS_4D]
+    eqs += [sp_moved(rng, eq) for eq in eqs] + sparse_4d_equations(rng, 30)
+    seen = {True: 0, False: 0}
+    for eq in eqs:
+        report = integrable_4d(eq, seed=3)
+        if report.verdict is Verdict.DEGENERATE:
+            continue
+        sampled, evidence = sampled_integrable(eq, trials=50, seed=rng.randrange(1000))
+        assert (report.verdict is not Verdict.NOT_INTEGRABLE) == sampled, str(eq)
+        if sampled:
+            assert evidence > 0 and report.failing_sample is None
+        else:
+            failing = report.failing_sample
+            assert failing["permutation"] == [1, 2, 3, 4]
+            sample = ReductionSample.from_values(failing["k"], failing["q"])
+            assert all(x == 0 for row in sample.q[:3] for x in row[:3])
+            status = linearisable_3d(travelling_wave_reduce(eq, sample))
+            assert status is Linearisability.NOT_LINEARISABLE
+            # no lattice point of lower total degree has q != 0
+            total = int(sum(sample.k) + 2 * sum(sample.q[3]))
+            for m in product(range(total), repeat=7):
+                if sum(m) < total:
+                    shift = [[0, 0, 0, m[3 + a]] for a in range(3)] + [list(m[3:])]
+                    assert freudenthal_quartic(pullback_coords(eq, (), shift, m[:3])) == 0
+        seen[sampled] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
+
+
+def test_reduction_coords_match_pullback_coords():
+    rng = Random(41)
+    eqs = [catalog.builtin_equation(name) for name in BUILTINS_4D]
+    for eq in eqs + [sp_moved(rng, eq) for eq in eqs[:3]] + sparse_4d_equations(rng, 5):
+        coords = reduction_coords(eq)
+        for c in coords:  # bidegree at most (2, 2) in (k, t)
+            for mono in c.terms:
+                assert sum(e for v, e in mono if v[0] == "k") <= 2
+                assert sum(e for v, e in mono if v[0] == "t") <= 2
+        scale = next(x / y for x, y in zip(clear_row(eq.coords), eq.coords) if y)
+        for _ in range(4):
+            point = {v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in IDENTITY_VARS}
+            k, t = list(point.values())[:3], list(point.values())[3:]
+            shift = [[0, 0, 0, t[a]] for a in range(3)] + [t]
+            expected = pullback_coords(eq, (1, 2, 3, 4), shift, k)
+            assert [c.evaluate(point) for c in coords] == [scale * x for x in expected]
+
+
+def test_hess_witness_is_the_first_lattice_point():
+    # P = 16 (2 (k1 t1 + k2 t2 + k3 t3) - t4)^2 for Hess u = 1, first nonzero
+    # at t4 = 1, that is Q44 = 1/2
+    report = integrable_4d(catalog.hess_equation(4))
+    zero = ["0"] * 4
+    assert report.failing_sample == {"permutation": [1, 2, 3, 4], "k": ["0", "0", "0"],
+                                     "q": [zero, zero, zero, ["0", "0", "0", "1/2"]]}
+
+
+def test_reduction_identity_witness_is_rechecked(monkeypatch):
+    from heavenly import integrability
+
+    monkeypatch.setattr(integrability, "freudenthal_quartic", lambda coords: 0)
+    with pytest.raises(InvariantViolation):
+        integrable_4d(catalog.hess_equation(4))
+

@@ -65,3 +65,16 @@ def test_no_unbounded_cache_keyed_by_an_equation():
             found += [f"{path.name}:{node.lineno}: {node.name}" for d in node.decorator_list
                       if _unbounded_cache(d)]
     assert found == []
+
+
+def test_integrability_decision_is_unseeded():
+    # integrable_4d decides by an exact identity: no random draws and no
+    # sampled chart permutations in its module
+    tree = ast.parse((PACKAGE_DIR / "integrability.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module} | {alias.name for alias in node.names}
+    assert names & {"random", "permutations"} == set()

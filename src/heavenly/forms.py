@@ -5,6 +5,13 @@ symplectic form is Omega = sum dx^i ^ du_i.  An n-form omega is effective
 when omega ^ Omega = 0; effective n-forms correspond bijectively to
 minor-span elements through pullback along u_i -> sum_j u_ij x^j, and the
 skew pairing built from interior products recovers the lambda invariant.
+
+Per equation both run on integer tables cached per n.  The lift is one
+integer column table over one denominator: the pullback isomorphism is
+inverted once, and the inverse is checked exactly.  The pairing contracts
+the lift and sums products of contraction coefficients through a sign
+table of the (n - 1)-keys that complete each other with one pair
+(i, n + i), so no wedge is built per equation.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InvariantViolation, ProportionalityViolation, ZeroPullback
 from .grassmann import (MAEquation, MinorBasis, _minor_polys, decompose, minor_basis,
                         permutation_sign, plucker_minor)
-from .linalg import rank_kernel, solve_linear
+from .linalg import apply_table, over_common_denominator, rank_kernel, rref
 from .poly import Polynomial, signed_sum
 
 Key = Tuple[int, ...]
@@ -160,8 +167,9 @@ def pullback_polynomial(w: ExteriorForm) -> Polynomial:
 def _effective_frame(n: int):
     """Basis of effective n-forms plus the pullback isomorphism onto the span.
 
-    Verifies at construction that effective n-forms have dimension N and
-    that pullback restricted to them is a linear isomorphism.
+    Verifies at construction that effective n-forms have dimension N; that
+    pullback restricted to them is an isomorphism is checked where it is
+    inverted (`_lift_table`).
     """
     basis = minor_basis(n)
     monos = list(combinations(range(2 * n), n))
@@ -175,41 +183,102 @@ def _effective_frame(n: int):
     effective = [ExteriorForm(n, n, {monos[i]: c for i, c in enumerate(vec) if c})
                  for vec in kernel]
     columns = [decompose(pullback_polynomial(f), basis) for f in effective]
-    iso = [list(row) for row in zip(*columns)]
-    rank, _ = rank_kernel(iso)
-    if rank != basis.dimension:
-        raise InvariantViolation("pullback is not an isomorphism on effective forms")
-    return tuple(effective), iso
+    return tuple(effective), [list(row) for row in zip(*columns)]
+
+
+@lru_cache(maxsize=None)
+def _lift_table(n: int) -> Tuple[Tuple[Key, ...], list, int]:
+    """The effective lift as one integer column table: the lift of canonical
+    coordinates c has coefficient (table c)[m] / d on keys[m].
+
+    The pullback isomorphism is inverted once, by one elimination of
+    [iso | I], and iso inv = I is checked exactly, so every equation has a
+    lift and no equation needs a solve of its own.
+    """
+    effective, iso = _effective_frame(n)
+    size = len(iso)
+    _, reduced = rref([list(row) + [int(i == j) for j in range(size)]
+                       for i, row in enumerate(iso)])
+    inv = [[(j, x) for j, x in enumerate(row[size:]) if x] for row in reduced]
+    for i, row in enumerate(iso):
+        product = [0] * size  # row i of iso inv
+        for a, inv_row in zip(row, inv):
+            if a:
+                for j, x in inv_row:
+                    product[j] += a * x
+        if product != [int(i == j) for j in range(size)]:
+            raise InvariantViolation("the pullback isomorphism does not invert")
+    lift: Dict[Tuple[Key, int], Fraction] = {}  # (key, i): coefficient of c_i on key
+    for form, inv_row in zip(effective, inv):
+        for key, c in form.terms.items():
+            for i, x in inv_row:
+                lift[key, i] = lift.get((key, i), 0) + c * x
+    keys = tuple(sorted({key for key, _ in lift}))
+    index = {key: m for m, key in enumerate(keys)}
+    values, d = over_common_denominator(list(lift.values()))
+    table: List[List[Tuple[int, int, int]]] = [[] for _ in range(size)]
+    for (key, i), v in zip(lift, values):
+        if v:
+            table[i].append((index[key], v, 0))
+    return keys, table, d
 
 
 def effective_lift(eq: MAEquation) -> ExteriorForm:
-    """The unique effective n-form whose pullback is the equation."""
-    effective, iso = _effective_frame(eq.n)
-    sol = solve_linear(iso, list(eq.coords))
-    if sol is None:
-        raise InvariantViolation("equation has no effective lift")
-    weights, _ = sol
-    out = ExteriorForm(eq.n, eq.n, {})
-    for w, form in zip(weights, effective):
-        if w:
-            out = out + w * form
-    return out
+    """The unique effective n-form whose pullback is the equation: one
+    integer table applied to eq's coordinates over one denominator."""
+    keys, table, d = _lift_table(eq.n)
+    coords, den = over_common_denominator(eq.coords)
+    values = apply_table(coords, table, len(keys))
+    return ExteriorForm(eq.n, eq.n, {key: Fraction(v, d * den)
+                                     for key, v in zip(keys, values) if v})
+
+
+@lru_cache(maxsize=None)
+def _pairing_table(n: int) -> Tuple[Dict[Key, List[Tuple[Key, int]]], int]:
+    """Signs of the top coefficient of dk1 ^ dk2 ^ Omega for (n - 1)-keys,
+    and the coefficient of Omega^n.
+
+    dk1 ^ dk2 ^ Omega reaches the volume only when k1 and k2 are disjoint
+    and miss exactly one pair (i, n + i), so for each k1 the table lists
+    those k2, each with the sign of the permutation k1 + k2 + (i, n + i).
+    """
+    pairs: Dict[Key, List[Tuple[Key, int]]] = {}
+    for k1 in combinations(range(2 * n), n - 1):
+        rest = set(range(2 * n)) - set(k1)
+        pairs[k1] = [(k2, permutation_sign(k1 + k2 + (i, n + i)))
+                     for i in range(n) if i in rest and n + i in rest
+                     for k2 in [tuple(sorted(rest - {i, n + i}))]]
+    _, vol = volume_normalizer(n)
+    return pairs, int(vol)
 
 
 def b_omega_matrix(eq: MAEquation) -> List[List[Fraction]]:
-    """Pairing (X, Y) -> (i_X w ^ i_Y w ^ Omega) / Omega^n on basis vectors."""
+    """Pairing (X, Y) -> (i_X w ^ i_Y w ^ Omega) / Omega^n on basis vectors.
+
+    The contractions of the lift are integer forms over one denominator,
+    paired through the sign table of `_pairing_table`.
+    """
     n = eq.n
     w = effective_lift(eq)
-    omega = symplectic_form(n)
-    key, vol = volume_normalizer(n)
-    contractions = [w.interior(a) for a in range(2 * n)]
-    return [[x.wedge(y).wedge(omega).terms.get(key, Fraction(0)) / vol
-             for y in contractions] for x in contractions]
+    pairs, vol = _pairing_table(n)
+    _, den = over_common_denominator(list(w.terms.values()))
+    contractions = [{key: c.numerator * (den // c.denominator)
+                     for key, c in w.interior(a).terms.items()} for a in range(2 * n)]
+    scale = den * den * vol
+    out = []
+    for x in contractions:
+        paired: Dict[Key, int] = {}  # k2 -> sum of c * sign over the k1 it completes
+        for k1, c in x.items():
+            for k2, s in pairs[k1]:
+                paired[k2] = paired.get(k2, 0) + s * c
+        out.append([Fraction(sum(c * paired.get(k2, 0) for k2, c in y.items()), scale)
+                    for y in contractions])
+    return out
 
 
 def symplectic_matrix(n: int) -> List[List[Fraction]]:
-    omega = symplectic_form(n)
-    return [[omega.interior(a).interior(b).scalar() for b in range(2 * n)]
+    """Omega(e_a, e_b): 1 on (i, n + i), -1 on (n + i, i) and 0 elsewhere."""
+    return [[Fraction((b == a + n) - (a == b + n)) for b in range(2 * n)]
             for a in range(2 * n)]
 
 

@@ -5,10 +5,12 @@ reduction is a linearisable 3D equation, and a nondegenerate 3D equation is
 linearisable iff its Freudenthal quartic q vanishes; a degenerate one has
 q = 0 as well.  Each reduction is a linear map c -> R(k, T) c of the
 canonical coordinates, so integrability is one polynomial identity,
-P(k, t) = q(R(k, t) c) = 0, decided exactly (`integrable_4d`).  Purely
-quadratic representatives are classified exactly through the pair of binary
-quartics attached to the ten-dimensional space of doubly-tangent quadratic
-equations.
+P(k, t) = q(R(k, t) c) = 0, decided exactly (`integrable_4d`).  The
+identity runs in a packed integer ring: a monomial in the seven variables
+is one int of 5-bit exponent fields, so a product of monomials is an int
+addition, and coefficients are ints.  Purely quadratic representatives are
+classified exactly through the pair of binary quartics attached to the
+ten-dimensional space of doubly-tangent quadratic equations.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def freudenthal_quartic(coords: Sequence) -> Fraction:
 
 
 def _sixteen_q(c: Sequence):
-    """16 q(c), without division: the same formula on ints, Fractions and Polynomials."""
+    """16 q(c), without division: the same formula on ints, Fractions, Polynomials
+    and the packed polynomials of the reduction identity (`_Packed`)."""
     a = [[2 * c[1], c[2], c[3]], [c[2], 2 * c[4], c[5]], [c[3], c[5], 2 * c[6]]]
     b = [[2 * c[12], -c[11], c[10]], [-c[11], 2 * c[9], -c[8]], [c[10], -c[8], 2 * c[7]]]
     c0, c3 = 2 * c[0], 2 * c[13]
@@ -121,7 +124,8 @@ def _sixteen_q(c: Sequence):
     trace_adj = sum(x * y for ra, rb in zip(adj_a, adj_b) for x, y in zip(ra, rb))
     det_a = sum(x * y[0] for x, y in zip(a[0], adj_a))
     det_b = sum(x * y[0] for x, y in zip(b[0], adj_b))
-    return (trace_ab - c0 * c3) ** 2 + 4 * c3 * det_a + 4 * c0 * det_b - 4 * trace_adj
+    square = trace_ab - c0 * c3
+    return square * square + 4 * c3 * det_a + 4 * c0 * det_b - 4 * trace_adj
 
 
 def linearisable_3d(eq: MAEquation, seed: int = 0) -> Linearisability:
@@ -230,6 +234,97 @@ class IntegrabilityReport:
 
 
 IDENTITY_VARS = ("k1", "k2", "k3", "t1", "t2", "t3", "t4")
+_BITS = 5  # exponent field width of a packed monomial
+
+
+class _Packed:
+    """Polynomials in `IDENTITY_VARS` with int coefficients, the ring of the
+    reduction identity.  A monomial is one int holding the seven exponents,
+    _BITS bits each in the order of `IDENTITY_VARS`, so a product of
+    monomials is a sum of ints; exponents stay below 2^_BITS because the
+    coordinates have bidegree at most (2, 2) and 16q is quartic in them.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms  # packed monomial -> nonzero int
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if not isinstance(other, _Packed):
+            if not other:
+                return self
+            other = _Packed({0: other})
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return _Packed(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Packed({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Packed):
+            return _Packed({m: c * other for m, c in self.terms.items()} if other else {})
+        out: dict = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return _Packed({m: c for m, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+
+def _exponents(m: int) -> List[int]:
+    """The exponents of a packed monomial, in the order of `IDENTITY_VARS`."""
+    return [(m >> (_BITS * i)) & ((1 << _BITS) - 1) for i in range(len(IDENTITY_VARS))]
+
+
+def _terms(c) -> dict:
+    """The packed terms of an int or a `_Packed` element."""
+    return c.terms if isinstance(c, _Packed) else {0: c} if c else {}
+
+
+def _as_polynomial(c) -> Polynomial:
+    """An int or a `_Packed` element as a Polynomial in `IDENTITY_VARS`."""
+    return Polynomial({tuple((v, e) for v, e in zip(IDENTITY_VARS, _exponents(m)) if e): x
+                       for m, x in _terms(c).items()})
+
+
+def _identity_walk(coords: Sequence[int], k: Sequence, t: Sequence) -> List:
+    """`pullback_walk` along (k, 1) with the shift T whose nonzero entries
+    are T[a][4] = T[4][a] = t_a, on ints or on `_Packed` elements."""
+    shift = [0, 0, 0, t[0], 0, 0, 0, t[1], 0, 0, 0, t[2], *t]
+    return pullback_walk(4, coords, (1, 2, 3, 4), shift, 1, [*k, 1])
+
+
+def _packed_coords(eq: MAEquation) -> List:
+    """R(k, t) c as `_Packed` elements or ints, for eq's primitive integer
+    coordinates c, checked to have bidegree at most (2, 2) in (k, t)."""
+    names = [_Packed({1 << (_BITS * i): 1}) for i in range(len(IDENTITY_VARS))]
+    coords = _identity_walk(clear_row(eq.coords), names[:3], names[3:])
+    for c in coords:
+        for m in _terms(c):
+            e = _exponents(m)
+            if sum(e[:3]) > 2 or sum(e[3:]) > 2:
+                raise InvariantViolation("a reduction coordinate exceeds bidegree (2, 2)")
+    return coords
 
 
 def reduction_coords(eq: MAEquation) -> List[Polynomial]:
@@ -238,11 +333,9 @@ def reduction_coords(eq: MAEquation) -> List[Polynomial]:
     in `IDENTITY_VARS`, for eq's primitive integer coordinates c.
 
     Each has degree at most 2 in k (the minors of K = [I | k] are linear in
-    k) and at most 2 in t (T has rank at most 2)."""
-    k1, k2, k3, *t = map(Polynomial.variable, IDENTITY_VARS)
-    shift = [[0, 0, 0, t[a]] for a in range(3)] + [t]
-    return [Polynomial.zero() + x for x in pullback_walk(
-        4, clear_row(eq.coords), (1, 2, 3, 4), sum(shift, []), 1, [k1, k2, k3, 1])]
+    k) and at most 2 in t (T has rank at most 2).  They are a view of the
+    packed coordinates the reduction identity runs on."""
+    return [_as_polynomial(c) for c in _packed_coords(eq)]
 
 
 def _lattice():
@@ -255,10 +348,9 @@ def _lattice():
                 yield m
 
 
-def _first_nonzero(coords: Sequence[Polynomial], points) -> Optional[List[int]]:
-    """The first of `points` where 16 q(coords) is nonzero, or None."""
-    return next((m for m in points if _sixteen_q(
-        [c.evaluate(dict(zip(IDENTITY_VARS, m))) for c in coords])), None)
+def _first_nonzero(coords: Sequence[int], points) -> Optional[List[int]]:
+    """The first of `points` where 16 q(R(k, t) coords) is nonzero, or None."""
+    return next((m for m in points if _sixteen_q(_identity_walk(coords, m[:3], m[3:]))), None)
 
 
 def integrable_4d(eq: MAEquation, seed: int = 0) -> IntegrabilityReport:
@@ -272,13 +364,15 @@ def integrable_4d(eq: MAEquation, seed: int = 0) -> IntegrabilityReport:
     be the T of `reduction_coords` and the identity permutation's chart,
     dense in Gr(3, 4), serves for all.  P has bidegree at most (8, 8) in
     (k, t), so a nonzero P is nonzero on the product of unisolvent lattices
-    simplex(3, 8) x simplex(4, 8).  The first such point is the failing
-    sample, with Q = T / 2, re-checked on `travelling_wave_reduce`; the 8
-    points of total degree <= 1 are tried before P is expanded, which a
-    nonzero value there makes unnecessary.  Only eq's own non-degeneracy
-    is sampled, at `seed`.  Purely quadratic representatives add the
-    singular-variety evidence, and equations with the full
-    n^2-dimensional stabilizer are reported as linearisable.
+    simplex(3, 8) x simplex(4, 8).  P is expanded in the packed integer
+    ring `_Packed`; the lattice points run the same table walk on ints.
+    The first such point is the failing sample, with Q = T / 2, re-checked
+    on `travelling_wave_reduce`; the 8 points of total degree <= 1 are
+    tried before P is expanded, which a nonzero value there makes
+    unnecessary.  Only eq's own non-degeneracy is sampled, at `seed`.
+    Purely quadratic representatives add the singular-variety evidence, and
+    equations with the full n^2-dimensional stabilizer are reported as
+    linearisable.
     """
     if eq.n != 4:
         raise ValueError("the integrability decision is for n = 4")
@@ -296,9 +390,9 @@ def integrable_4d(eq: MAEquation, seed: int = 0) -> IntegrabilityReport:
         report.singular_dim = dim
         report.meets_all = meets_all_sublagrangians(moved, kernel)
 
-    coords, points = reduction_coords(eq), _lattice()
+    coords, points = clear_row(eq.coords), _lattice()
     m = _first_nonzero(coords, islice(points, 8))
-    if m is None and _sixteen_q(coords):
+    if m is None and _sixteen_q(_packed_coords(eq)):
         m = _first_nonzero(coords, points)
         if m is None:
             raise InvariantViolation("the reduction identity fails but vanishes on its lattice")

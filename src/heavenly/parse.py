@@ -216,8 +216,12 @@ def parse_polynomial(text: str, n: int, extended: bool = False) -> Polynomial:
 
 
 def parse_equation(text: str, n: int) -> MAEquation:
-    """Parse and validate through the minor-span decomposition."""
-    return MAEquation.from_poly(n, parse_polynomial(text, n))
+    """Parse and validate through the minor-span decomposition; an
+    expression that is identically zero is no equation."""
+    poly = parse_polynomial(text, n)
+    if poly.is_zero():
+        raise ParseError("the equation is identically zero", 0)
+    return MAEquation.from_poly(n, poly)
 
 
 def parse_lax_field(text: str, n: int):

@@ -364,3 +364,15 @@ def test_inconclusive_exit_code(capsys):
                        "--expr", "1", "--n", "4",
                        "--x1", "lam*d1", "--x2", "lam*d2", "--trials", "2")
     assert code == 3 and "inconclusive" in err
+
+
+@pytest.mark.parametrize("expr", ["0", "u11-u11", "0*u11"])
+@pytest.mark.parametrize("command", [
+    ("classify", "--n", "4"), ("identify",), ("symmetry",), ("lambda",), ("linearisable",),
+    ("singular",), ("legendre", "--flip", "1"), ("reduce", "--k", "1,2,3")],
+    ids=lambda argv: argv[0])
+def test_zero_equation_is_rejected(capsys, command, expr):
+    code, out, err = run(capsys, *command, "--expr", expr)
+    assert code == 2
+    assert out == "" and err.startswith("rejected:") and "zero" in err
+    assert "Traceback" not in err

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 
 from tables import EXPECTED_LAMBDA_ZERO
+from wedged import wedge_b_matrix, wedge_lift
 
 from heavenly import catalog
 from heavenly.errors import ZeroPullback
@@ -19,7 +20,7 @@ from heavenly.forms import (
     symplectic_form,
     volume_normalizer,
 )
-from heavenly.grassmann import minor_basis, uvar
+from heavenly.grassmann import MAEquation, minor_basis, uvar
 
 
 def test_wedge_anticommutes():
@@ -139,6 +140,15 @@ def test_b_matrix_symmetric_for_odd_n():
             assert b[i][j] == b[j][i]
 
 
+def test_symplectic_matrix_is_omega_on_basis_vectors():
+    from heavenly.forms import symplectic_matrix
+
+    for n in (2, 3, 4):
+        omega = symplectic_form(n)
+        assert symplectic_matrix(n) == [[omega.interior(a).interior(b).scalar()
+                                         for b in range(2 * n)] for a in range(2 * n)]
+
+
 def test_volume_normalizer():
     key, coeff = volume_normalizer(4)
     assert key == tuple(range(8)) and coeff != 0
@@ -178,3 +188,71 @@ def test_pullback_matches_determinant_reference(n):
     forms.append(ExteriorForm(n, n, {}))
     for w in forms:
         assert pullback_polynomial(w) == determinant_pullback(w)
+
+
+def lambda_test_equations():
+    """The 13 builtins and seeded equations with rational coordinates at n = 2, 3, 4."""
+    rng = Random(71)
+    eqs = [catalog.builtin_equation(name) for name in catalog.builtin_names()]
+    for n in (2, 3, 4):
+        size = minor_basis(n).dimension
+        for density in (0.2, 0.5, 1.0):
+            for _ in range(4):
+                coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) * (rng.random() < density)
+                          for _ in range(size)]
+                coords[rng.randrange(size)] = Fraction(rng.randint(1, 7), rng.randint(1, 3))
+                eqs.append(MAEquation.from_coords(n, coords))
+    return eqs
+
+
+def test_lift_and_pairing_match_wedge_reference():
+    for eq in lambda_test_equations():
+        lift = effective_lift(eq)
+        assert lift == wedge_lift(eq), str(eq)
+        assert pullback_to_equation(lift, eq.basis).coords == eq.coords
+        b = b_omega_matrix(eq)
+        assert b == wedge_b_matrix(eq), str(eq)
+        assert all(type(x) is Fraction for row in b for x in row)
+
+
+def test_lift_table_checks_its_inverse(monkeypatch):
+    from heavenly import forms
+    from heavenly.errors import InvariantViolation
+
+    eliminate = forms.rref
+
+    def off_by_one(rows):
+        pivots, reduced = eliminate(rows)
+        reduced[0][-1] += 1
+        return pivots, reduced
+
+    monkeypatch.setattr(forms, "rref", off_by_one)
+    forms._lift_table.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation):
+            forms._lift_table(3)
+    finally:
+        forms._lift_table.cache_clear()
+
+
+def test_warm_lambda_makes_no_wedge_and_no_solve(monkeypatch):
+    from heavenly import forms, linalg
+    from heavenly.forms import ExteriorForm
+
+    b_omega_lambda(catalog.husain())  # builds the n = 4 tables
+    calls = []
+
+    def counting(name, original):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(ExteriorForm, "wedge", counting("wedge", ExteriorForm.wedge))
+    for module in (forms, linalg):  # wherever a solve may be bound
+        for name in ("solve_linear", "rref"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for name in catalog.NORMAL_FORMS:
+        b_omega_lambda(catalog.builtin_equation(name))
+    assert calls == []

@@ -14,6 +14,7 @@ from heavenly.grassmann import (
     minor_basis,
     partial_legendre,
     pullback_coords,
+    pullback_walk,
     translate,
     ucoord,
     uvar,
@@ -38,6 +39,7 @@ from heavenly.integrability import (
     tangency_points,
     travelling_wave_reduce,
 )
+from heavenly.integrability import _as_polynomial, _exponents, _packed_coords, _sixteen_q, _terms
 from heavenly.linalg import clear_row, mat_vec, rank_kernel
 from heavenly.liesp import action_matrices, nondegenerate, symmetry_algebra
 from heavenly.poly import Polynomial
@@ -725,3 +727,132 @@ def test_reduction_identity_witness_is_rechecked(monkeypatch):
     with pytest.raises(InvariantViolation):
         integrable_4d(catalog.hess_equation(4))
 
+
+# -- the packed ring of the reduction identity ---------------------------------
+
+
+def polynomial_identity(eq):
+    """16 q(R(k, t) c) expanded on Polynomials: the table walk with Polynomial
+    weights, as the identity was expanded before it had a ring of its own."""
+    k1, k2, k3, *t = map(Polynomial.variable, IDENTITY_VARS)
+    shift = [0, 0, 0, t[0], 0, 0, 0, t[1], 0, 0, 0, t[2], *t]
+    coords = pullback_walk(4, clear_row(eq.coords), (1, 2, 3, 4), shift, 1, [k1, k2, k3, 1])
+    return Polynomial.zero() + _sixteen_q([Polynomial.zero() + c for c in coords])
+
+
+def packed_identity(eq):
+    return _as_polynomial(_sixteen_q(_packed_coords(eq)))
+
+
+def translated_then_flipped(rng, eq):
+    u0 = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            u0[i][j] = u0[j][i] = rng.randint(-1, 1)
+    return partial_legendre(translate(eq, u0), rng.sample((1, 2, 3, 4), rng.randint(1, 2)))
+
+
+def test_packed_identity_matches_polynomial_expansion():
+    rng = Random(43)
+    eqs = [catalog.builtin_equation(name) for name in BUILTINS_4D]
+    eqs += [translated_then_flipped(rng, eq) for eq in eqs[:4]] + sparse_4d_equations(rng, 12)
+    zero = 0
+    for eq in eqs:
+        expected = polynomial_identity(eq)
+        assert packed_identity(eq).terms == expected.terms, str(eq)
+        zero += expected.is_zero()
+    assert 5 <= zero < len(eqs)
+
+
+def test_packed_coordinates_have_bidegree_at_most_2_2():
+    rng = Random(45)
+    eqs = [catalog.builtin_equation(name) for name in BUILTINS_4D]
+    eqs += [translated_then_flipped(rng, eq) for eq in eqs] + sparse_4d_equations(rng, 20)
+    degrees = set()
+    for eq in eqs:
+        for c in _packed_coords(eq):
+            for m in _terms(c):
+                e = _exponents(m)
+                degrees.add((sum(e[:3]), sum(e[3:])))
+    assert max(k for k, _ in degrees) == 2 and max(t for _, t in degrees) == 2
+    assert all(k <= 2 and t <= 2 for k, t in degrees)
+
+
+def test_packed_coordinates_reject_a_higher_bidegree(monkeypatch):
+    from heavenly import integrability
+
+    walk = integrability._identity_walk
+    monkeypatch.setattr(integrability, "_identity_walk",
+                        lambda coords, k, t: [c * k[0] * k[0] * k[0] for c in walk(coords, k, t)])
+    with pytest.raises(InvariantViolation):
+        integrability._packed_coords(catalog.hess_equation(4))
+
+
+def test_integrable_4d_makes_no_polynomial_product_or_evaluation(monkeypatch):
+    # the sub-Grassmannian sweep expands its minors as Polynomials; the
+    # reduction identity and its lattice make no Polynomial arithmetic
+    from heavenly import integrability
+
+    for eq in (catalog.husain(), catalog.hess_equation(4)):
+        integrable_4d(eq)  # warm tables and the non-degeneracy cache
+        calls, inside_sweep = [], []
+        sweep = integrability.meets_all_sublagrangians
+
+        def sweeping(*args):
+            inside_sweep.append(True)
+            try:
+                return sweep(*args)
+            finally:
+                inside_sweep.pop()
+
+        def counting(name, original):
+            def wrapped(*args):
+                if not inside_sweep:
+                    calls.append(name)
+                return original(*args)
+            return wrapped
+
+        monkeypatch.setattr(integrability, "meets_all_sublagrangians", sweeping)
+        for name in ("__mul__", "__rmul__", "evaluate"):
+            monkeypatch.setattr(Polynomial, name, counting(name, getattr(Polynomial, name)))
+        integrable_4d(eq)
+        monkeypatch.undo()
+        assert calls == [], str(eq)
+
+
+def test_reduction_quartic_depends_on_q_modulo_ktqk():
+    # q(R(k, Q) c) = q(R(k, Q - K^T Q33 K) c) with K = [I | k]: Kahler
+    # translates of the reduction are Sp(6) moves
+    rng = Random(47)
+    eqs = [catalog.builtin_equation(name)
+           for name in ("hess", "husain", "general-heavenly", "second-heavenly")]
+    eqs += sparse_4d_equations(rng, 6)
+    nonzero = 0
+    for eq in eqs:
+        for _ in range(3):
+            k = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
+            q = [[Fraction(0)] * 4 for _ in range(4)]
+            for i in range(4):
+                for j in range(i, 4):
+                    q[i][j] = q[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+            kk = [[int(i == j) for j in range(3)] + [k[i]] for i in range(3)]
+            t = [[q[a][b] - sum(kk[i][a] * q[i][j] * kk[j][b] for i in range(3) for j in range(3))
+                  for b in range(4)] for a in range(4)]
+            assert all(t[a][b] == 0 for a in range(3) for b in range(3))
+            value = freudenthal_quartic(pullback_coords(eq, (), q, k))
+            assert freudenthal_quartic(pullback_coords(eq, (), t, k)) == value
+            nonzero += value != 0
+    assert nonzero >= 10
+
+
+def test_all_permutations_vanish_with_the_identity_chart():
+    rng = Random(49)
+    eqs = [catalog.builtin_equation(name) for name in BUILTINS_4D]
+    eqs += [sp_moved(rng, eq) for eq in eqs[:4]]
+    seen = {True: 0, False: 0}
+    for eq in eqs:
+        zero = [not _sixteen_q(_packed_coords(permute_equation(eq, perm))) for perm in PERMUTATIONS]
+        assert PERMUTATIONS[0] == (1, 2, 3, 4)
+        assert all(zero) == zero[0], str(eq)
+        seen[zero[0]] += 1
+    assert seen[True] >= 6 and seen[False] >= 1

@@ -9,7 +9,7 @@ Kahler-potential example.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .grassmann import MAEquation, hessian_matrix, uvar
 from .poly import Polynomial, determinant
@@ -114,7 +114,3 @@ def builtin_equation(name: str) -> MAEquation:
         known = ", ".join(builtin_names())
         raise KeyError(f"unknown builtin {name!r}; available: {known}") from None
     return factory()
-
-
-def normal_form_equations() -> Dict[str, MAEquation]:
-    return {name: builtin_equation(name) for name in NORMAL_FORMS}

@@ -168,9 +168,12 @@ def cmd_classify(args) -> Dict:
         out = _classify_4d(eq, args.seed)
     else:
         raise CommandError("classify works on dimensions 3 and 4")
-    if args.save_eq:
-        with open(args.save_eq, "w", encoding="utf-8") as handle:
-            handle.write(equation_to_json(eq))
+    if args.save_eq is not None:
+        try:
+            with open(args.save_eq, "w", encoding="utf-8") as handle:
+                handle.write(equation_to_json(eq))
+        except OSError as err:
+            raise CommandError(f"cannot write equation: {err}") from None
         out["saved-to"] = args.save_eq
     return out
 
@@ -231,7 +234,15 @@ def cmd_lambda(args) -> Dict:
 
 def cmd_lax_check(args) -> Dict:
     if args.builtin_pair:
-        x1, x2, default_mode = catalog_pair(args.builtin_pair)
+        given = [f"--{dest}" for dest in ("expr", "builtin", "file", "n", "x1", "x2")
+                 if getattr(args, dest) is not None]
+        if given:
+            raise CommandError(f"--builtin-pair fixes the equation and both fields; "
+                               f"it takes no {', '.join(given)}")
+        try:
+            x1, x2, default_mode = catalog_pair(args.builtin_pair)
+        except KeyError as err:
+            raise CommandError(err.args[0]) from None
         eq = catalog.builtin_equation(args.builtin_pair)
     else:
         if not (args.x1 and args.x2):

@@ -70,8 +70,8 @@ def travelling_wave_reduce(eq: MAEquation, sample: ReductionSample,
     """Reduce along u = w(x1 + a x4, x2 + b x4, x3 + c x4) + Q(x, x).
 
     The Hessian becomes U = K^T W K + 2Q with K = [I3 | k], after `perm`
-    (1-based images) relabels the chart indices as `permute_equation` does:
-    u_ab goes to the reduction's image of u_{perm(a) perm(b)}.  So the
+    (1-based images) relabels the chart indices: u_ab goes to the
+    reduction's image of u_{perm(a) perm(b)}.  So the
     reduction is a linear map of the raw minors, from the 42 coordinates to
     the 14 (`pullback_coords`): relabel, shift by 2Q, restrict to K^T W K.
     An image of 0 is a `ZeroReduction`.
@@ -148,12 +148,6 @@ def linearisable_3d(eq: MAEquation, seed: int = 0) -> Linearisability:
         return Linearisability.DEGENERATE
     return (Linearisability.LINEARISABLE if freudenthal_quartic(clear_row(eq.coords)) == 0
             else Linearisability.NOT_LINEARISABLE)
-
-
-def permute_equation(eq: MAEquation, perm: Sequence[int]) -> MAEquation:
-    """Relabel chart indices by the permutation (1-based images): u_ab goes to
-    u_{perm(a) perm(b)}, a signed permutation of the raw minors."""
-    return MAEquation.from_coords(eq.n, pullback_coords(eq, perm))
 
 
 def find_quadratic_chart(eq: MAEquation):
@@ -301,12 +295,6 @@ def _terms(c) -> dict:
     return c.terms if isinstance(c, _Packed) else {0: c} if c else {}
 
 
-def _as_polynomial(c) -> Polynomial:
-    """An int or a `_Packed` element as a Polynomial in `IDENTITY_VARS`."""
-    return Polynomial({tuple((v, e) for v, e in zip(IDENTITY_VARS, _exponents(m)) if e): x
-                       for m, x in _terms(c).items()})
-
-
 def _identity_walk(coords: Sequence[int], k: Sequence, t: Sequence) -> List:
     """`pullback_walk` along (k, 1) with the shift T whose nonzero entries
     are T[a][4] = T[4][a] = t_a, on ints or on `_Packed` elements."""
@@ -316,7 +304,8 @@ def _identity_walk(coords: Sequence[int], k: Sequence, t: Sequence) -> List:
 
 def _packed_coords(eq: MAEquation) -> List:
     """R(k, t) c as `_Packed` elements or ints, for eq's primitive integer
-    coordinates c, checked to have bidegree at most (2, 2) in (k, t)."""
+    coordinates c, checked to have bidegree at most (2, 2) in (k, t): the
+    minors of K = [I | k] are linear in k, and T has rank at most 2."""
     names = [_Packed({1 << (_BITS * i): 1}) for i in range(len(IDENTITY_VARS))]
     coords = _identity_walk(clear_row(eq.coords), names[:3], names[3:])
     for c in coords:
@@ -325,17 +314,6 @@ def _packed_coords(eq: MAEquation) -> List:
             if sum(e[:3]) > 2 or sum(e[3:]) > 2:
                 raise InvariantViolation("a reduction coordinate exceeds bidegree (2, 2)")
     return coords
-
-
-def reduction_coords(eq: MAEquation) -> List[Polynomial]:
-    """R(k, t) c: the canonical coordinates of the reductions along k with the
-    shift T whose nonzero entries are T[a][4] = T[4][a] = t_a, as Polynomials
-    in `IDENTITY_VARS`, for eq's primitive integer coordinates c.
-
-    Each has degree at most 2 in k (the minors of K = [I | k] are linear in
-    k) and at most 2 in t (T has rank at most 2).  They are a view of the
-    packed coordinates the reduction identity runs on."""
-    return [_as_polynomial(c) for c in _packed_coords(eq)]
 
 
 def _lattice():
@@ -361,7 +339,7 @@ def integrable_4d(eq: MAEquation, seed: int = 0) -> IntegrabilityReport:
     iff P = q(R(k, Q) c) is the zero polynomial.  Seven variables suffice:
     Q - K^T S K (S symmetric 3 x 3) gives a translate of the reduction, and
     a change of basis of K's rows a GL(3) move, both Sp(6) moves, so Q may
-    be the T of `reduction_coords` and the identity permutation's chart,
+    be the T of `_identity_walk` and the identity permutation's chart,
     dense in Gr(3, 4), serves for all.  P has bidegree at most (8, 8) in
     (k, t), so a nonzero P is nonzero on the product of unisolvent lattices
     simplex(3, 8) x simplex(4, 8).  P is expanded in the packed integer
@@ -451,15 +429,6 @@ def ef_basis() -> Tuple[Tuple[Polynomial, ...], Tuple[Polynomial, ...]]:
         u(2, 2) * u(4, 4) - u(2, 4) ** 2,
     )
     return e, f
-
-
-def tangency_points() -> Tuple[List[List[Fraction]], List[List[Fraction]]]:
-    """The two finite base points all doubly tangent quadratics go through."""
-    origin = [[Fraction(0)] * 4 for _ in range(4)]
-    third = [[Fraction(0)] * 4 for _ in range(4)]
-    third[0][3] = third[3][0] = Fraction(1)
-    third[1][2] = third[2][1] = Fraction(-1)
-    return origin, third
 
 
 @dataclass(frozen=True)

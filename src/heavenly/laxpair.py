@@ -255,6 +255,10 @@ def reduce_6d_lax(rows: Sequence[Sequence[Fraction]]) -> Tuple[LaxField, LaxFiel
     return reduce_field(x1), reduce_field(x2)
 
 
+PAIR_NAMES = ("first-heavenly", "general-heavenly", "husain", "modified-heavenly",
+              "second-heavenly")
+
+
 def catalog_pair(name: str) -> Tuple[LaxField, LaxField, str]:
     """(X1, X2, verification mode) for each integrable nonlinear normal form."""
     from .catalog import GENERAL_HEAVENLY_COEFFS
@@ -293,4 +297,5 @@ def catalog_pair(name: str) -> Tuple[LaxField, LaxField, str]:
             _u(2, 3),
         ))
         return x1, x2, "mod-span"
-    raise KeyError(f"no Lax pair catalogued for {name!r}")
+    known = ", ".join(PAIR_NAMES)
+    raise KeyError(f"no Lax pair catalogued for {name!r}; available: {known}")

@@ -31,82 +31,30 @@ from functools import cached_property, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
-from .grassmann import MAEquation, chart_vars, derivation_matrix, ucoord, uvar
-from .linalg import apply_table, clear_row, mat_vec, rank_kernel, row_space_basis, rref
-from .poly import Polynomial, signed_sum
+from .grassmann import MAEquation, chart_vars, derivation_matrix, ucoord
+from .linalg import apply_table, clear_row, rank_kernel, row_space_basis, rref
+from .poly import signed_sum
 
 
 @dataclass(frozen=True)
 class SpGenerator:
-    """One infinitesimal generator with its chart derivation and cocycle."""
+    """One infinitesimal generator, named by its kind and indices;
+    `_hamiltonian_matrix` gives its matrix."""
 
     label: str
     kind: str  # "X", "L" or "P"
     i: int
     j: int
-    derivation: Tuple[Tuple[str, Polynomial], ...]
-    phi: Polynomial
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        """Raw derivation: sum over chart variables of D(u_ab) * d poly/d u_ab."""
-        out = Polynomial.zero()
-        for var, image in self.derivation:
-            part = poly.partial(var)
-            if not part.is_zero():
-                out = out + image * part
-        return out
-
-    def corrected(self, poly: Polynomial) -> Polynomial:
-        """Derivation plus the cocycle term; lands in the minor span."""
-        return self.apply(poly) + self.phi * poly
-
-
-def _derivation_from_flow(n: int, flow) -> Tuple[Tuple[str, Polynomial], ...]:
-    out = []
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            img = flow(a, b)
-            if not img.is_zero():
-                out.append((ucoord(a, b), img))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def sp_generators(n: int) -> Tuple[SpGenerator, ...]:
     """The n(2n+1) generators: X_ij (i<=j), L_ij (all i,j), P_ij (i<=j)."""
-    gens: List[SpGenerator] = []
-    zero = Polynomial.zero()
-    one = Polynomial.one()
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            deriv = ((ucoord(i, j), one),)
-            gens.append(SpGenerator(f"X{i}{j}", "X", i, j, deriv, zero))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            def flow(a, b, i=i, j=j):
-                # U' = e_ij U + U e_ji
-                img = Polynomial.zero()
-                if a == i:
-                    img = img + uvar(j, b)
-                if b == i:
-                    img = img + uvar(j, a)
-                return img
-            phi = Polynomial.constant(-1) if i == j else zero
-            gens.append(SpGenerator(f"L{i}{j}", "L", i, j,
-                                    _derivation_from_flow(n, flow), phi))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            def flow(a, b, i=i, j=j):
-                # U' = U S_ij U with S_ij = e_ij + e_ji (2 e_ii on the diagonal)
-                img = uvar(a, i) * uvar(j, b) + uvar(a, j) * uvar(i, b)
-                return img
-            gens.append(SpGenerator(f"P{i}{j}", "P", i, j,
-                                    _derivation_from_flow(n, flow),
-                                    -2 * uvar(i, j)))
-    if len(gens) != n * (2 * n + 1):
-        raise InvariantViolation(f"sp({2 * n}) needs {n * (2 * n + 1)} generators, "
-                                 f"built {len(gens)}")
-    return tuple(gens)
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    square = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return tuple(SpGenerator(f"{kind}{i}{j}", kind, i, j)
+                 for kind, pairs in (("X", upper), ("L", square), ("P", upper))
+                 for i, j in pairs)
 
 
 def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
@@ -183,13 +131,11 @@ class LieSubalgebra:
     subalgebra are computed on first use.
     """
 
-    def __init__(self, n: int, basis, structure_constants=None, eigenvalues=()):
+    def __init__(self, n: int, basis, eigenvalues=()):
         self.n = n
         self.basis = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in v)
                            for v in basis)
         self.eigenvalues = tuple(eigenvalues)
-        if structure_constants is not None:
-            self.structure_constants = structure_constants
 
     @cached_property
     def structure_constants(self):
@@ -244,28 +190,6 @@ def format_sp_vector(n: int, vector: Sequence[Fraction]) -> str:
     labels = [g.label for g in sp_generators(n)]
     return signed_sum((c, label if abs(c) == 1 else f"{abs(c)} {label}")
                       for c, label in zip(vector, labels) if c)
-
-
-def invariance_eigenvalue(eq: MAEquation, vector: Sequence[Fraction]) -> Optional[Fraction]:
-    """mu with A_v c = mu c, or None when v does not stabilize the equation."""
-    mats = action_matrices(eq.n)
-    c = list(eq.coords)
-    image = [Fraction(0)] * len(c)
-    for coeff, m in zip(vector, mats):
-        if coeff:
-            for i, val in enumerate(mat_vec(m, c)):
-                image[i] += coeff * val
-    mu = None
-    for i, ci in enumerate(c):
-        if ci:
-            cand = image[i] / ci
-            if mu is None:
-                mu = cand
-            elif cand != mu:
-                return None
-        elif image[i]:
-            return None
-    return mu if mu is not None else Fraction(0)
 
 
 @lru_cache(maxsize=1)

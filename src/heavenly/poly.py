@@ -67,20 +67,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(sorted(merged.items(), key=lambda p: var_key(p[0])))
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True if monomial a divides b."""
-    eb = dict(b)
-    return all(eb.get(v, 0) >= e for v, e in a)
-
-
-def _mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient monomial a / b (caller guarantees divisibility)."""
-    ea = dict(a)
-    for v, e in b:
-        ea[v] -= e
-    return tuple(sorted(((v, e) for v, e in ea.items() if e), key=lambda p: var_key(p[0])))
-
-
 class Polynomial:
     """Immutable sparse polynomial over the rationals."""
 
@@ -141,9 +127,6 @@ class Polynomial:
             for v, _ in mono:
                 out.add(v)
         return out
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
 
     def constant_term(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -282,23 +265,6 @@ class Polynomial:
                 val *= Fraction(assignment[v]) ** e
             total += val
         return total
-
-    def div_exact(self, divisor: "Polynomial"):
-        """Exact quotient self/divisor, or None when it does not divide."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = self
-        quot = Polynomial.zero()
-        dlm = divisor.lead_monomial()
-        dlc = divisor.lead_coeff()
-        while rem.terms:
-            rlm = rem.lead_monomial()
-            if not _mono_divides(dlm, rlm):
-                return None
-            t = _raw({_mono_div(rlm, dlm): rem.lead_coeff() / dlc})
-            quot = quot + t
-            rem = rem - t * divisor
-        return quot
 
     # -- formatting --------------------------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Tuple
 
 from .errors import InvariantViolation, ZeroPolynomial
@@ -140,20 +139,3 @@ def is_harmonic(q: BinaryQuartic) -> bool:
     """Four distinct roots with cross-ratio -1 (J = 0, discriminant nonzero)."""
     i_inv, j_inv, disc = quartic_invariants(q)
     return j_inv == 0 and disc != 0
-
-
-def sl2_transform(q: BinaryQuartic, a, b, c, d) -> BinaryQuartic:
-    """Weight-4 substitution p(t) -> (ct+d)^4 p((at+b)/(ct+d))."""
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    out = [Fraction(0)] * 5
-    for i in range(5):
-        ci = q.coeffs()[i]
-        if not ci:
-            continue
-        # (a t + b)^i (c t + d)^(4-i)
-        for r in range(i + 1):
-            for s in range(4 - i + 1):
-                coeff = ci * comb(i, r) * comb(4 - i, s) \
-                    * a ** r * b ** (i - r) * c ** s * d ** (4 - i - s)
-                out[r + s] += coeff
-    return BinaryQuartic.from_coeffs(out)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from dense import dense
+from pencil import sl2_transform, tangency_points
 from tables import (
     EXPECTED_LAMBDA_ZERO,
     EXPECTED_SYMMETRY_DIMS,
@@ -16,6 +17,7 @@ from tables import (
     PRINTED_GENERATORS,
     table_equation,
 )
+from vector_fields import chart_fields, invariance_eigenvalue
 
 from heavenly import catalog
 from heavenly.forms import b_omega_lambda, effective_lift, pullback_to_equation, symplectic_form
@@ -39,20 +41,18 @@ from heavenly.integrability import (
     ef_coordinates,
     integrable_4d,
     linearisable_3d,
-    tangency_points,
     travelling_wave_reduce,
 )
 from heavenly.laxpair import LaxField, catalog_pair, verify_lax
 from heavenly.linalg import rank_kernel
 from heavenly.liesp import (
     action_matrices,
-    invariance_eigenvalue,
     is_reductive,
     sp_generators,
     sp_structure_constants,
     symmetry_algebra,
 )
-from heavenly.quartic import BinaryQuartic, multiplicity_pattern, quartic_invariants, sl2_transform
+from heavenly.quartic import BinaryQuartic, multiplicity_pattern, quartic_invariants
 
 SEED = 8128
 
@@ -244,7 +244,7 @@ def test_criterion_10_legendre_normalizations():
 def test_criterion_11_property_suites():
     # span preservation under all 36 corrected generator actions
     basis = minor_basis(4)
-    for g in sp_generators(4):
+    for g in chart_fields(4):
         for p in basis.basis_polys:
             decompose(g.corrected(p), basis)
     # legendre involution up to scale on sampled equations

@@ -101,6 +101,37 @@ def test_lax_check_builtin_and_explicit(capsys):
     assert "witness" in report["result"]
 
 
+@pytest.mark.parametrize("name", ["hess", "nosuch"])
+def test_unknown_builtin_pair_lists_the_catalogued_pairs(capsys, name):
+    code, out, err = run(capsys, "lax-check", "--builtin-pair", name)
+    assert code == 2
+    assert out == "" and f"{name!r}" in err and "Traceback" not in err
+    for pair in ("second-heavenly", "modified-heavenly", "first-heavenly", "husain",
+                 "general-heavenly"):
+        assert pair in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--expr", "u11"),
+    ("--builtin", "hess"),
+    ("--file", "husain.json"),
+    ("--n", "4"),
+    ("--x1", "lam*d1"),
+    ("--x2", "lam*d2"),
+])
+def test_builtin_pair_rejects_equation_and_field_flags(capsys, flag, value):
+    code, out, err = run(capsys, "lax-check", "--builtin-pair", "husain", flag, value)
+    assert code == 2
+    assert out == "" and flag in err and "Traceback" not in err
+
+
+def test_builtin_pair_takes_mode_trials_and_seed(capsys):
+    code, out, _ = run(capsys, "lax-check", "--builtin-pair", "husain", "--mode", "strict",
+                       "--trials", "2", "--seed", "5", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["passed"] is True
+
+
 def test_reduce_command(capsys):
     code, out, _ = run(capsys, "reduce", "--builtin", "first-heavenly",
                        "--k", "1,1,0", "--json")
@@ -305,6 +336,16 @@ def test_classify_saves_a_3d_equation(tmp_path, capsys):
     code, out, _ = run(capsys, "linearisable", "--file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["equation"] == "u11 + u22 + u33"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
+def test_classify_save_to_an_unwritable_path_is_rejected(tmp_path, capsys, target):
+    path = {"directory": str(tmp_path), "missing-parent": str(tmp_path / "missing" / "eq.json"),
+            "empty": ""}[target]
+    code, out, err = run(capsys, "classify", "--builtin", "hess", "--save-eq", path)
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write equation: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -98,7 +98,8 @@ def test_pullback_linear():
 
 
 def test_effective_lift_round_trip():
-    for name, eq in catalog.normal_form_equations().items():
+    for name in catalog.NORMAL_FORMS:
+        eq = catalog.builtin_equation(name)
         w = effective_lift(eq)
         assert pullback_to_equation(w, eq.basis).coords == eq.coords
         assert w.wedge(symplectic_form(4)).is_zero()

@@ -34,21 +34,38 @@ from heavenly.integrability import (
     identify_equation,
     integrable_4d,
     linearisable_3d,
-    permute_equation,
-    reduction_coords,
-    tangency_points,
     travelling_wave_reduce,
 )
-from heavenly.integrability import _as_polynomial, _exponents, _packed_coords, _sixteen_q, _terms
+from heavenly.integrability import _exponents, _packed_coords, _sixteen_q, _terms
 from heavenly.linalg import clear_row, mat_vec, rank_kernel
 from heavenly.liesp import action_matrices, nondegenerate, symmetry_algebra
 from heavenly.poly import Polynomial
-from heavenly.quartic import BinaryQuartic, sl2_transform
+from heavenly.quartic import BinaryQuartic
+from pencil import sl2_transform, tangency_points
 from sampled import PERMUTATIONS, random_sample, sampled_integrable
 
 
 def quartic(*coeffs):
     return BinaryQuartic.from_coeffs(coeffs)
+
+
+def permute_equation(eq, perm):
+    """Relabel chart indices by the permutation (1-based images): u_ab goes to
+    u_{perm(a) perm(b)}, a signed permutation of the raw minors."""
+    return MAEquation.from_coords(eq.n, pullback_coords(eq, perm))
+
+
+def as_polynomial(c):
+    """An int or a packed element of the reduction identity's ring as a
+    Polynomial in `IDENTITY_VARS`."""
+    return Polynomial({tuple((v, e) for v, e in zip(IDENTITY_VARS, _exponents(m)) if e): x
+                       for m, x in _terms(c).items()})
+
+
+def reduction_coords(eq):
+    """R(k, t) c as Polynomials in `IDENTITY_VARS`: a view of the packed
+    coordinates the reduction identity runs on."""
+    return [as_polynomial(c) for c in _packed_coords(eq)]
 
 
 CASE_PAIRS = {
@@ -741,7 +758,7 @@ def polynomial_identity(eq):
 
 
 def packed_identity(eq):
-    return _as_polynomial(_sixteen_q(_packed_coords(eq)))
+    return as_polynomial(_sixteen_q(_packed_coords(eq)))
 
 
 def translated_then_flipped(rng, eq):

@@ -9,6 +9,7 @@ from heavenly import catalog
 from heavenly.errors import NoSamplePoint
 from heavenly.grassmann import MAEquation, ucoord
 from heavenly.laxpair import (
+    PAIR_NAMES,
     LaxField,
     catalog_pair,
     commutator,
@@ -108,6 +109,18 @@ def test_strict_pairs_verify(name):
     assert mode == "strict"
     result = verify_lax(x1, x2, catalog.builtin_equation(name), mode, trials=8, seed=5)
     assert result.passed, result.witness
+
+
+def test_pair_names_are_the_catalogued_pairs():
+    catalogued = []
+    for name in catalog.builtin_names():
+        try:
+            catalog_pair(name)
+        except KeyError as err:
+            assert all(pair in err.args[0] for pair in PAIR_NAMES)
+        else:
+            catalogued.append(name)
+    assert catalogued == sorted(PAIR_NAMES)
 
 
 def test_general_heavenly_needs_mod_span():

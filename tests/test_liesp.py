@@ -1,5 +1,6 @@
 """sp(2n) action, symmetry algebras, reductivity, non-degeneracy."""
 
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -13,6 +14,7 @@ from tables import (
     PRINTED_GENERATORS,
     table_equation,
 )
+from vector_fields import chart_fields, invariance_eigenvalue
 
 from heavenly import catalog
 from heavenly.errors import InvariantViolation, NoSamplePoint
@@ -32,7 +34,6 @@ from heavenly.liesp import (
     LieSubalgebra,
     action_matrices,
     center,
-    invariance_eigenvalue,
     is_reductive,
     killing_form,
     nondegenerate,
@@ -47,7 +48,7 @@ from heavenly.poly import Polynomial
 
 
 def gen_by_label(n, label):
-    for g in sp_generators(n):
+    for g in chart_fields(n):
         if g.label == label:
             return g
     raise KeyError(label)
@@ -69,6 +70,25 @@ def test_generator_counts():
         assert kinds.count("X") == n * (n + 1) // 2
         assert kinds.count("L") == n * n
         assert kinds.count("P") == n * (n + 1) // 2
+
+
+def test_generators_are_records_that_build_no_polynomial(monkeypatch):
+    from heavenly import poly
+
+    built = []
+    init, raw = poly.Polynomial.__init__, poly._raw
+    monkeypatch.setattr(poly.Polynomial, "__init__",
+                        lambda self, *a, **k: built.append("init") or init(self, *a, **k))
+    monkeypatch.setattr(poly, "_raw", lambda terms: built.append("raw") or raw(terms))
+    gens = sp_generators.__wrapped__(4)
+    assert built == []
+    assert [f.name for f in fields(gens[0])] == ["label", "kind", "i", "j"]
+
+
+def test_chart_fields_follow_the_generator_order():
+    for n in (2, 3, 4):
+        assert ([(f.label, f.kind, f.i, f.j) for f in chart_fields(n)]
+                == [(g.label, g.kind, g.i, g.j) for g in sp_generators(n)])
 
 
 def test_x11_derivation_on_basis_n2():
@@ -95,7 +115,7 @@ def test_corrected_action_decomposes_for_all_generators():
     # span preservation, including the quadratic generators
     for n in (2, 3, 4):
         basis = minor_basis(n)
-        for g in sp_generators(n):
+        for g in chart_fields(n):
             for p in basis.basis_polys:
                 decompose(g.corrected(p), basis)  # raises NotInSpan on failure
 
@@ -105,7 +125,7 @@ def test_action_matrices_match_corrected_derivation_oracle(n):
     # column k: the corrected symbolic derivation of basis polynomial k,
     # decomposed over the basis
     basis = minor_basis(n)
-    for g, matrix in zip(sp_generators(n), action_matrices(n)):
+    for g, matrix in zip(chart_fields(n), action_matrices(n)):
         cols = [decompose(g.corrected(p), basis) for p in basis.basis_polys]
         assert dense(matrix) == Dense([[cols[k][i] for k in range(basis.dimension)]
                                        for i in range(basis.dimension)])
@@ -247,13 +267,13 @@ def test_reductivity():
     assert is_reductive(gh) is True
     hus = symmetry_algebra(catalog.husain())
     assert is_reductive(hus) is False
-    # abelian algebra: radical = center = everything
+    # abelian algebra (X11, X12, X13): radical = center = everything
     dim = 3
-    zero_table = tuple(tuple(() for _ in range(dim)) for _ in range(dim))
-    dense = tuple(tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
+    zeros = tuple(tuple(tuple(Fraction(0) for _ in range(dim)) for _ in range(dim))
                   for _ in range(dim))
     basis = tuple(tuple(Fraction(int(i == j)) for j in range(36)) for i in range(dim))
-    abelian = LieSubalgebra(4, basis, dense)
+    abelian = LieSubalgebra(4, basis)
+    assert abelian.structure_constants == zeros
     assert is_reductive(abelian) is True
     assert len(center(abelian)) == dim and len(radical(abelian)) == dim
 
@@ -336,7 +356,7 @@ def test_structure_bracket_matches_derivations():
     # the table is the chart vector-field bracket V_p V_q - V_q V_p, on every pair
     zero = Polynomial.zero()
     for n in (2, 3):
-        gens = sp_generators(n)
+        gens = chart_fields(n)
         images = [dict(g.derivation) for g in gens]
         table = sp_structure_constants(n)
         for p, q in product(range(len(gens)), repeat=2):

@@ -74,19 +74,6 @@ def test_monomial_order_graded_then_u11_dominant():
     assert r.monic().lead_coeff() == 1
 
 
-def test_div_exact():
-    p = u(1, 1) * u(2, 2) - u(1, 2) ** 2
-    prod = p * (u(1, 1) + 7)
-    assert prod.div_exact(p) == u(1, 1) + 7
-    assert prod.div_exact(u(1, 1) + 5) is None
-    rng = Random(3)
-    for _ in range(10):
-        a, b = random_poly(rng), random_poly(rng)
-        if b.is_zero():
-            continue
-        assert (a * b).div_exact(b) == a
-
-
 def test_determinant_matches_expansion():
     rows = [[u(i, j) for j in range(1, 4)] for i in range(1, 4)]
     det = determinant(rows)

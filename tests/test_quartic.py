@@ -11,8 +11,8 @@ from heavenly.quartic import (
     is_harmonic,
     multiplicity_pattern,
     quartic_invariants,
-    sl2_transform,
 )
+from pencil import sl2_transform
 
 
 def q(*coeffs):

@@ -78,3 +78,25 @@ def test_integrability_decision_is_unseeded():
         elif isinstance(node, ast.ImportFrom):
             names |= {node.module} | {alias.name for alias in node.names}
     assert names & {"random", "permutations"} == set()
+
+
+def test_every_definition_is_used_in_the_package_or_exported():
+    # Test-only code lives under tests/: each module-level function and class
+    # of the package is referenced somewhere in it (as a name, an attribute or
+    # an imported name) or exported by heavenly.__all__.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    used = set(heavenly.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    found = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items()
+             for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             and node.name not in used]
+    assert found == []

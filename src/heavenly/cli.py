@@ -4,66 +4,40 @@ reduce, legendre, singular, linearisable, basis-info.
 Reports are stable-ordered and byte-identical across runs at the same seed
 and flags; `--json` switches to machine-readable output and `--timing`
 appends wall-clock timing (off by default to keep reports reproducible).
-Exit codes: 0 success, 2 rejected input, 3 inconclusive sampling.
+A failure prints its `HeavenlyError`'s label on stderr and exits with its
+code: 2 for `rejected` input and other errors, 3 when `inconclusive`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import catalog
-from .errors import (
-    DegenerateChart,
-    HeavenlyError,
-    NoSamplePoint,
-    NotInEF,
-    NotInSpan,
-    NotPurelyQuadratic,
-    ParseError,
-    UnsupportedDimension,
-    ZeroPullback,
-    ZeroReduction,
-)
+from .errors import HeavenlyError, NotInEF
 from .forms import b_omega_lambda
-from .grassmann import (
-    MAEquation,
-    equation_from_json,
-    equation_to_json,
-    minor_basis,
-    partial_legendre,
-    singular_locus_quadratic,
-    meets_all_sublagrangians,
-)
-from .integrability import (
-    ReductionSample,
-    classify_quartic_pair,
-    ef_coordinates,
-    identify_equation,
-    integrable_4d,
-    linearisable_3d,
-    travelling_wave_reduce,
-)
+from .grassmann import (MAX_DIM, MIN_DIM, MAEquation, equation_from_json, equation_to_json,
+                        meets_all_sublagrangians, minor_basis, partial_legendre,
+                        singular_locus_quadratic)
+from .integrability import (ReductionSample, classify_quartic_pair, ef_coordinates,
+                            identify_equation, integrable_4d, linearisable_3d, routes_agree,
+                            travelling_wave_reduce)
 from .laxpair import catalog_pair, verify_lax
 from .liesp import symmetry_algebra
 from .parse import parse_equation, parse_lax_field
 
 DEFAULT_SEED = 8128
 DEFAULT_LAX_TRIALS = 20
-
-EXIT_OK = 0
-EXIT_REJECTED = 2
-EXIT_INCONCLUSIVE = 3
+ANY_DIM = tuple(range(MIN_DIM, MAX_DIM + 1))
 
 
-class CommandError(Exception):
-    def __init__(self, message: str, code: int = EXIT_REJECTED):
-        super().__init__(message)
-        self.code = code
+class CommandError(HeavenlyError):
+    """A command-line request the toolkit cannot carry out."""
 
 
 def _positive_int(text: str) -> int:
@@ -84,29 +58,39 @@ def _csv(text: str, kind, message: str) -> List:
         raise CommandError(message) from None
 
 
-def resolve_equation(args, default_n=4) -> MAEquation:
+def _load_equation(args) -> MAEquation:
+    if args.builtin:
+        try:
+            return catalog.builtin_equation(args.builtin)
+        except KeyError as err:
+            raise CommandError(str(err)) from None
+    try:
+        with open(args.file, "r", encoding="utf-8") as handle:
+            return equation_from_json(handle.read())
+    except (OSError, ValueError, ZeroDivisionError, TypeError) as err:
+        raise CommandError(f"cannot load equation: {err}") from None
+    except KeyError as err:
+        raise CommandError(f"cannot load equation: missing {err}") from None
+
+
+def resolve_equation(args) -> MAEquation:
+    """The one equation of --expr, --builtin or --file, in a dimension the
+    command accepts; --expr is read in --n, else in the largest of those."""
     chosen = [x for x in (args.expr, args.builtin, args.file) if x]
     if len(chosen) != 1:
         raise CommandError("provide exactly one of --expr, --builtin, --file")
-    n = getattr(args, "n", None)
     if args.expr:
-        return parse_equation(args.expr, default_n if n is None else n)
-    if args.builtin:
-        try:
-            eq = catalog.builtin_equation(args.builtin)
-        except KeyError as err:
-            raise CommandError(str(err)) from None
+        n = max(args.dims) if args.n is None else args.n
     else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as handle:
-                eq = equation_from_json(handle.read())
-        except (OSError, ValueError, ZeroDivisionError, TypeError) as err:
-            raise CommandError(f"cannot load equation: {err}") from None
-        except KeyError as err:
-            raise CommandError(f"cannot load equation: missing {err}") from None
-    if n is not None and n != eq.n:
-        raise CommandError(f"--n {n} disagrees with the loaded equation, which has n = {eq.n}")
-    return eq
+        eq = _load_equation(args)
+        if args.n is not None and args.n != eq.n:
+            raise CommandError(f"--n {args.n} disagrees with the loaded equation, "
+                               f"which has n = {eq.n}")
+        n = eq.n
+    if n not in args.dims:
+        accepted = " or ".join(map(str, args.dims))
+        raise CommandError(f"{args.command} takes n = {accepted}, not n = {n}")
+    return parse_equation(args.expr, n) if args.expr else eq
 
 
 def render(report: Dict, as_json: bool) -> str:
@@ -137,7 +121,6 @@ def render(report: Dict, as_json: bool) -> str:
 def cmd_basis_info(args) -> Dict:
     basis = minor_basis(args.n)
     return {
-        "command": "basis-info",
         "n": args.n,
         "total-dimension": basis.dimension,
         "per-degree-dims": list(basis.per_degree_dims),
@@ -145,50 +128,40 @@ def cmd_basis_info(args) -> Dict:
     }
 
 
+def _identify(eq: MAEquation, seed: int):
+    name, fp = identify_equation(eq, seed=seed)
+    return name, {"equation": str(eq.poly), "name": name if name else "unknown",
+                  "fingerprint": fp.as_dict()}
+
+
 def cmd_identify(args) -> Dict:
-    eq = resolve_equation(args)
-    if eq.n != 4:
-        raise CommandError("identify works on 4-dimensional equations")
-    name, fp = identify_equation(eq, seed=args.seed)
-    return {
-        "command": "identify",
-        "equation": str(eq.poly),
-        "name": name if name else "unknown",
-        "fingerprint": fp.as_dict(),
-        "seed": args.seed,
-    }
+    _, fields = _identify(resolve_equation(args), args.seed)
+    return {**fields, "seed": args.seed}
 
 
 def cmd_classify(args) -> Dict:
+    path = args.save_eq
+    if path is not None:  # checked before any work; the file is not touched yet
+        if os.path.isdir(path or "."):
+            raise CommandError(f"cannot write equation: {path!r} is a directory")
+        if not os.access(os.path.dirname(path) or ".", os.W_OK):
+            raise CommandError(f"cannot write equation: {path!r} is not in a writable directory")
     eq = resolve_equation(args)
-    if eq.n == 3:
-        out = {"command": "classify", "n": 3, "equation": str(eq.poly),
-               "linearisable": linearisable_3d(eq, seed=args.seed).value, "seed": args.seed}
-    elif eq.n == 4:
-        out = _classify_4d(eq, args.seed)
-    else:
-        raise CommandError("classify works on dimensions 3 and 4")
-    if args.save_eq is not None:
+    out = {"n": 3, **_linearisable(eq, args.seed)} if eq.n == 3 else _classify_4d(eq, args.seed)
+    if path is not None:
         try:
-            with open(args.save_eq, "w", encoding="utf-8") as handle:
+            with open(path, "w", encoding="utf-8") as handle:
                 handle.write(equation_to_json(eq))
         except OSError as err:
             raise CommandError(f"cannot write equation: {err}") from None
-        out["saved-to"] = args.save_eq
+        out["saved-to"] = path
     return out
 
 
 def _classify_4d(eq: MAEquation, seed: int) -> Dict:
-    name, fp = identify_equation(eq, seed=seed)
-    out = {
-        "command": "classify",
-        "n": 4,
-        "equation": str(eq.poly),
-        "name": name if name else "unknown",
-        "fingerprint": fp.as_dict(),
-        "integrability": integrable_4d(eq, seed=seed).as_dict(),
-        "seed": seed,
-    }
+    name, fields = _identify(eq, seed)
+    report = integrable_4d(eq, seed=seed)
+    out = {"n": 4, **fields, "integrability": report.as_dict(), "seed": seed}
     try:
         pair = ef_coordinates(eq)
     except NotInEF:
@@ -207,25 +180,19 @@ def _classify_4d(eq: MAEquation, seed: int) -> Dict:
         if result.singular_dim is not None:
             entry["singular-dim"] = result.singular_dim
         out["quartic-pair"] = entry
-        fingerprint_name = name if name else "unknown"
-        route_agrees = (result.name == fingerprint_name) or (
-            result.case in (4, 7, 10) and name is None)
-        out["routes-agree"] = bool(route_agrees)
+        out["routes-agree"] = routes_agree(result, name, report.verdict)
     return out
 
 
 def cmd_symmetry(args) -> Dict:
-    eq = resolve_equation(args, default_n=4)
-    return {"command": "symmetry", "equation": str(eq.poly), **symmetry_algebra(eq).describe()}
+    eq = resolve_equation(args)
+    return {"equation": str(eq.poly), **symmetry_algebra(eq).describe()}
 
 
 def cmd_lambda(args) -> Dict:
     eq = resolve_equation(args)
-    if eq.n != 4:
-        raise CommandError("the lambda invariant needs n = 4")
     lambda_zero, matrix = b_omega_lambda(eq)
     return {
-        "command": "lambda",
         "equation": str(eq.poly),
         "lambda-zero": lambda_zero,
         "pairing-matrix": [[str(x) for x in row] for row in matrix],
@@ -248,13 +215,11 @@ def cmd_lax_check(args) -> Dict:
         if not (args.x1 and args.x2):
             raise CommandError("provide --builtin-pair or both --x1 and --x2")
         eq = resolve_equation(args)
-        x1 = parse_lax_field(args.x1, eq.n)
-        x2 = parse_lax_field(args.x2, eq.n)
+        x1, x2 = (parse_lax_field(x, eq.n) for x in (args.x1, args.x2))
         default_mode = "strict"
     mode = args.mode or default_mode
     result = verify_lax(x1, x2, eq, mode, trials=args.trials, seed=args.seed)
     return {
-        "command": "lax-check",
         "equation": str(eq.poly),
         "x1": str(x1),
         "x2": str(x2),
@@ -265,8 +230,6 @@ def cmd_lax_check(args) -> Dict:
 
 def cmd_reduce(args) -> Dict:
     eq = resolve_equation(args)
-    if eq.n != 4:
-        raise CommandError("reduction starts from n = 4")
     k = _csv(args.k or "0,0,0", Fraction, "--k needs three comma-separated rationals")
     if len(k) != 3:
         raise CommandError("--k needs three comma-separated rationals")
@@ -282,7 +245,6 @@ def cmd_reduce(args) -> Dict:
     reduced = travelling_wave_reduce(eq, sample)
     status = linearisable_3d(reduced, seed=args.seed)
     return {
-        "command": "reduce",
         "equation": str(eq.poly),
         "k": [str(x) for x in k],
         "reduced": str(reduced.poly),
@@ -292,7 +254,7 @@ def cmd_reduce(args) -> Dict:
 
 
 def cmd_legendre(args) -> Dict:
-    eq = resolve_equation(args, default_n=4)
+    eq = resolve_equation(args)
     flip = _csv(args.flip, int, "--flip needs comma-separated indices") if args.flip else []
     if any(i < 1 or i > eq.n for i in flip):
         raise CommandError(f"--flip indices must lie in 1..{eq.n}")
@@ -300,7 +262,6 @@ def cmd_legendre(args) -> Dict:
         raise CommandError("--flip indices must be distinct")
     moved = partial_legendre(eq, flip)
     return {
-        "command": "legendre",
         "equation": str(eq.poly),
         "flip": flip,
         "result": str(moved.poly),
@@ -308,10 +269,9 @@ def cmd_legendre(args) -> Dict:
 
 
 def cmd_singular(args) -> Dict:
-    eq = resolve_equation(args, default_n=4)
+    eq = resolve_equation(args)
     dim, kernel = singular_locus_quadratic(eq)
     out = {
-        "command": "singular",
         "equation": str(eq.poly),
         "dimension": dim,
         "kernel": [[[str(x) for x in row] for row in mat] for mat in kernel],
@@ -321,17 +281,13 @@ def cmd_singular(args) -> Dict:
     return out
 
 
+def _linearisable(eq: MAEquation, seed: int) -> Dict:
+    return {"equation": str(eq.poly), "linearisable": linearisable_3d(eq, seed=seed).value,
+            "seed": seed}
+
+
 def cmd_linearisable(args) -> Dict:
-    eq = resolve_equation(args, default_n=3)
-    if eq.n != 3:
-        raise CommandError("the linearisability test is for n = 3")
-    status = linearisable_3d(eq, seed=args.seed)
-    return {
-        "command": "linearisable",
-        "equation": str(eq.poly),
-        "linearisable": status.value,
-        "seed": args.seed,
-    }
+    return _linearisable(resolve_equation(args), args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,35 +300,39 @@ def build_parser() -> argparse.ArgumentParser:
               ("--file", {"help": "path to a serialized equation"}),
               ("--n", {"type": int, "default": None, "help": "dimension for --expr input"})]
     seed = [("--seed", {"type": int, "default": DEFAULT_SEED})]
-    commands = [  # each command gets only the options it reads, then --json and --timing
-        ("basis-info", cmd_basis_info, "minor-span dimensions and basis",
+    # each command: the dimensions of equation it takes (for basis-info, those
+    # minor_basis supports), and only the options it reads, then --json and --timing
+    commands = [
+        ("basis-info", cmd_basis_info, ANY_DIM, "minor-span dimensions and basis",
          [("--n", {"type": int, "required": True})]),
-        ("classify", cmd_classify, "full pipeline: fingerprint, integrability, quartic pair",
+        ("classify", cmd_classify, (3, 4),
+         "full pipeline: fingerprint, integrability, quartic pair",
          source + seed + [("--save-eq", {"help": "write the equation to this path"})]),
-        ("identify", cmd_identify, "name the equation by its fingerprint", source + seed),
-        ("symmetry", cmd_symmetry, "stabilizer subalgebra report", source),
-        ("lambda", cmd_lambda, "vanishing of the pairing invariant", source),
-        ("lax-check", cmd_lax_check, "verify a Lax pair on the variety", source + seed + [
+        ("identify", cmd_identify, (4,), "name the equation by its fingerprint", source + seed),
+        ("symmetry", cmd_symmetry, ANY_DIM, "stabilizer subalgebra report", source),
+        ("lambda", cmd_lambda, (4,), "vanishing of the pairing invariant", source),
+        ("lax-check", cmd_lax_check, ANY_DIM, "verify a Lax pair on the variety",
+         source + seed + [
             ("--trials", {"type": _positive_int, "default": DEFAULT_LAX_TRIALS}),
             ("--builtin-pair", {"help": "catalogued pair name"}),
             ("--x1", {"help": "first field expression"}),
             ("--x2", {"help": "second field expression"}),
             ("--mode", {"choices": ["strict", "mod-span"]})]),
-        ("reduce", cmd_reduce, "travelling-wave reduction to n = 3", source + seed + [
+        ("reduce", cmd_reduce, (4,), "travelling-wave reduction to n = 3", source + seed + [
             ("--k", {"help": "three comma-separated direction constants"}),
             ("--q", {"help": "ten comma-separated quadratic-shift entries"})]),
-        ("legendre", cmd_legendre, "partial Legendre chart change",
+        ("legendre", cmd_legendre, ANY_DIM, "partial Legendre chart change",
          source + [("--flip", {"help": "comma-separated index pairs to flip"})]),
-        ("singular", cmd_singular, "singular locus of a quadratic equation", source),
-        ("linearisable", cmd_linearisable, "3D linearisability test", source + seed),
+        ("singular", cmd_singular, ANY_DIM, "singular locus of a quadratic equation", source),
+        ("linearisable", cmd_linearisable, (3,), "3D linearisability test", source + seed),
     ]
-    for name, handler, text, options in commands:
+    for name, handler, dims, text, options in commands:
         sub = subs.add_parser(name, help=text)
         for flag, spec in options:
             sub.add_argument(flag, **spec)
         sub.add_argument("--json", action="store_true", dest="as_json")
         sub.add_argument("--timing", action="store_true")
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, dims=dims)
     return parser
 
 
@@ -381,24 +341,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        report = args.handler(args)
-    except CommandError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
-    except (ParseError, NotInSpan, NotPurelyQuadratic, UnsupportedDimension,
-            NotInEF, ZeroReduction, ZeroPullback, DegenerateChart) as err:
-        print(f"rejected: {err}", file=sys.stderr)
-        return EXIT_REJECTED
-    except NoSamplePoint as err:
-        print(f"inconclusive: {err}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        report = {"command": args.command, **args.handler(args)}
     except HeavenlyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_REJECTED
+        print(f"{err.label}: {err}", file=sys.stderr)
+        return err.exit_code
     if args.timing:
         report["elapsed-seconds"] = round(time.monotonic() - started, 3)
     print(render(report, args.as_json))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

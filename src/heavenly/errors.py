@@ -1,11 +1,21 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library; each carries the stderr label
+and the exit code the command line reports it with."""
 
 
 class HeavenlyError(Exception):
     """Base class for all library errors."""
 
+    label = "error"
+    exit_code = 2
 
-class NotInSpan(HeavenlyError):
+
+class RejectedInput(HeavenlyError):
+    """The input lies outside what the toolkit decides."""
+
+    label = "rejected"
+
+
+class NotInSpan(RejectedInput):
     """A polynomial is not a linear combination of Hessian minors.
 
     Carries the offending monomials so callers can report them.
@@ -17,15 +27,15 @@ class NotInSpan(HeavenlyError):
         super().__init__(f"not in the minor span (offending monomials: {pretty})")
 
 
-class UnsupportedDimension(HeavenlyError):
+class UnsupportedDimension(RejectedInput):
     pass
 
 
-class DegenerateChart(HeavenlyError):
+class DegenerateChart(RejectedInput):
     pass
 
 
-class NotPurelyQuadratic(HeavenlyError):
+class NotPurelyQuadratic(RejectedInput):
     pass
 
 
@@ -33,7 +43,7 @@ class ZeroPolynomial(HeavenlyError):
     pass
 
 
-class ZeroPullback(HeavenlyError):
+class ZeroPullback(RejectedInput):
     pass
 
 
@@ -42,14 +52,17 @@ class ProportionalityViolation(HeavenlyError):
 
 
 class NoSamplePoint(HeavenlyError):
+    """No point of {F = 0} was found to sample, so no verdict is given."""
+
+    label = "inconclusive"
+    exit_code = 3
+
+
+class ZeroReduction(RejectedInput):
     pass
 
 
-class ZeroReduction(HeavenlyError):
-    pass
-
-
-class NotInEF(HeavenlyError):
+class NotInEF(RejectedInput):
     pass
 
 
@@ -61,7 +74,7 @@ class InvariantViolation(HeavenlyError):
     """An exact identity the computation relies on failed to hold."""
 
 
-class ParseError(HeavenlyError):
+class ParseError(RejectedInput):
     def __init__(self, message, position):
         self.position = position
         super().__init__(f"{message} (at position {position})")

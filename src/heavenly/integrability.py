@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import combinations, islice
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InvariantViolation, NoSamplePoint, NotInEF, ZeroReduction
+from .errors import InvariantViolation, NotInEF, ZeroReduction
 from .forms import b_omega_lambda
 from .grassmann import (
     LagrangePoint,
@@ -136,15 +136,12 @@ def linearisable_3d(eq: MAEquation, seed: int = 0) -> Linearisability:
     stabilizer, the linearisable orbit; other nondegenerate equations have
     dimension 8.  q is homogeneous of degree 4, so it is evaluated on the
     primitive integer coordinates.  The sampled non-degeneracy check runs
-    first, at `seed`.
+    first, at `seed`; with no point of {F = 0} to sample it raises
+    `NoSamplePoint`, since a verdict needs a nondegenerate equation.
     """
     if eq.n != 3:
         raise ValueError("the linearisability test is for n = 3")
-    try:
-        nondeg = nondegenerate(eq, seed=seed)
-    except NoSamplePoint:
-        nondeg = False
-    if not nondeg:
+    if not nondegenerate(eq, seed=seed):
         return Linearisability.DEGENERATE
     return (Linearisability.LINEARISABLE if freudenthal_quartic(clear_row(eq.coords)) == 0
             else Linearisability.NOT_LINEARISABLE)
@@ -465,17 +462,18 @@ def ef_coordinates(eq: MAEquation) -> QuarticPair:
     return QuarticPair(p, q)
 
 
-CASE_NAMES = {
-    1: "general heavenly",
-    2: "Husain",
-    3: "first heavenly",
-    4: "degenerate equation",
-    5: "modified heavenly",
-    6: "second heavenly",
-    7: "degenerate equation",
-    8: "Hess u = 1 (non-integrable)",
-    9: "linear wave",
-    10: "degenerate equation",
+# Each case's name and the verdict of its equations.
+CASES = {
+    1: ("general heavenly", Verdict.INTEGRABLE),
+    2: ("Husain", Verdict.INTEGRABLE),
+    3: ("first heavenly", Verdict.INTEGRABLE),
+    4: ("degenerate equation", Verdict.DEGENERATE),
+    5: ("modified heavenly", Verdict.INTEGRABLE),
+    6: ("second heavenly", Verdict.INTEGRABLE),
+    7: ("degenerate equation", Verdict.DEGENERATE),
+    8: ("Hess u = 1 (non-integrable)", Verdict.NOT_INTEGRABLE),
+    9: ("linear wave", Verdict.LINEARISABLE),
+    10: ("degenerate equation", Verdict.DEGENERATE),
 }
 
 _PATTERN_CLASS = {
@@ -554,7 +552,7 @@ def classify_quartic_pair(pair: QuarticPair) -> Classification:
         except ValueError:
             singular_dim = None
         return Classification(None, "unrecognized", pat_p, pat_q, singular_dim)
-    return Classification(case, CASE_NAMES[case], pat_p, pat_q, singular_dim, j_invs)
+    return Classification(case, CASES[case][0], pat_p, pat_q, singular_dim, j_invs)
 
 
 # -- fingerprints ------------------------------------------------------------
@@ -594,11 +592,7 @@ def fingerprint(eq: MAEquation, seed: int = 0) -> Fingerprint:
     alg = symmetry_algebra(eq)
     lambda_zero, _ = b_omega_lambda(eq)
     reductive = is_reductive(alg) if alg.dim == 12 else None
-    try:
-        nondeg = nondegenerate(eq, seed=seed)
-    except NoSamplePoint:
-        nondeg = False
-    return Fingerprint(alg.dim, lambda_zero, reductive, nondeg)
+    return Fingerprint(alg.dim, lambda_zero, reductive, nondegenerate(eq, seed=seed))
 
 
 def identify_equation(eq: MAEquation, seed: int = 0) -> Tuple[Optional[str], Fingerprint]:
@@ -606,3 +600,12 @@ def identify_equation(eq: MAEquation, seed: int = 0) -> Tuple[Optional[str], Fin
     fp = fingerprint(eq, seed=seed)
     key = (fp.symmetry_dim, fp.lambda_zero, fp.reductive, fp.nondegenerate)
     return _NORMAL_FORM_FINGERPRINTS.get(key), fp
+
+
+def routes_agree(result: Classification, name: Optional[str], verdict: Verdict) -> bool:
+    """Whether the quartic-pair case carries the reduction identity's verdict
+    and the fingerprint's normal-form name (None for cases 4, 7, 8 and 10);
+    an unrecognized pair agrees with nothing."""
+    case_name, case_verdict = CASES.get(result.case, (None, None))
+    normal_form = case_name if case_name in _NORMAL_FORM_FINGERPRINTS.values() else None
+    return case_verdict is verdict and normal_form == name

@@ -31,7 +31,7 @@ from heavenly.grassmann import (
     uvar,
 )
 from heavenly.integrability import (
-    CASE_NAMES,
+    CASES,
     Linearisability,
     QuarticPair,
     ReductionSample,
@@ -200,7 +200,7 @@ def test_criterion_8_classification_pipeline():
         back = ef_coordinates(pair.reconstruct())
         assert back.p.coeffs() == p.coeffs() and back.q.coeffs() == q.coeffs()
         result = classify_quartic_pair(back)
-        assert result.case == case and result.name == CASE_NAMES[case], case
+        assert result.case == case and result.name == CASES[case][0], case
     # the harmonic merge: t^4 - 1 against zero also lands in case 8
     i_inv, j_inv, disc = quartic_invariants(quartic(-1, 0, 0, 0, 1))
     assert j_inv == 0 and disc != 0

@@ -417,3 +417,119 @@ def test_zero_equation_is_rejected(capsys, command, expr):
     assert code == 2
     assert out == "" and err.startswith("rejected:") and "zero" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--n", "3", "--expr", "1"),
+    ("linearisable", "--n", "3", "--expr", "1"),
+    ("identify", "--n", "4", "--expr", "1"),
+    ("classify", "--n", "4", "--expr", "1"),
+    ("reduce", "--builtin", "first-heavenly"),  # reduces to the constant -1
+], ids=lambda argv: "-".join(argv[:3]))
+def test_no_point_to_sample_is_inconclusive(capsys, argv):
+    # 1 = 0 has no point to sample, so no verdict, degenerate or otherwise
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith("inconclusive:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (("classify", "--n", "2", "--expr", "u11 + u22"), "n = 3 or 4"),
+    (("identify", "--builtin", "laplace"), "n = 4"),
+    (("lambda", "--n", "3", "--expr", "u11 + u22 + u33"), "n = 4"),
+    (("reduce", "--builtin", "kahler"), "n = 4"),
+    (("linearisable", "--builtin", "husain"), "n = 3"),
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
+def test_command_names_the_dimensions_it_takes(capsys, argv, accepted):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"{argv[0]} takes {accepted}, not n = " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "read-only-parent"])
+def test_classify_checks_the_save_path_before_classifying(tmp_path, capsys, monkeypatch,
+                                                          target):
+    from heavenly import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("classified before checking --save-eq")
+
+    monkeypatch.setattr(cli, "identify_equation", unreachable)
+    path = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "eq.json",
+            "read-only-parent": tmp_path / "eq.json"}[target]
+    if target == "read-only-parent":  # root may write anywhere, so the check is faked
+        monkeypatch.setattr(cli.os, "access", lambda *args: False)
+    code, out, err = run(capsys, "classify", "--builtin", "hess", "--save-eq", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: cannot write equation: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+def test_cli_contract_holds_on_fuzzed_arguments_and_files(tmp_path):
+    # every input exits 0, 2 or 3 within a time bound, and no exception
+    # escapes main (which would print a traceback)
+    import contextlib
+    import io
+
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    eq_file, save_path = tmp_path / "eq.json", tmp_path / "saved.json"
+    accepts = {  # besides one of --expr, --builtin and --file
+        "basis-info": ["--n"], "classify": ["--n", "--seed", "--save-eq"],
+        "identify": ["--n", "--seed"], "symmetry": ["--n"], "lambda": ["--n"],
+        "lax-check": ["--n", "--seed", "--trials", "--builtin-pair", "--x1", "--x2", "--mode"],
+        "reduce": ["--n", "--seed", "--k", "--q"], "legendre": ["--n", "--flip"],
+        "singular": ["--n"], "linearisable": ["--n", "--seed"],
+    }
+    blocks = ["u11", "u22 - u33", "u12", "u34", "u11*u22 - u12^2", "u13*u24 - u14*u23", "HESS",
+              "u11*u33 - u13^2", "1", "lam*d1", "u13*d4", "(u11 + u12)^2", "u11^2", "u5", "x", "+",
+              "1/0", "-"]
+    expr = st.lists(st.tuples(st.sampled_from(["", "2*", "-", "1/3*", "0*"]),
+                              st.sampled_from(blocks)), min_size=1, max_size=4).map(
+        lambda terms: " + ".join(c + b for c, b in terms))
+    numbers = st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "1/0", "5", "a", ""]),
+                       max_size=11).map(",".join)
+    coords = st.lists(st.one_of(st.sampled_from(["0", "1", "-1", "1/3", "1/0", "x"]),
+                                st.integers(-3, 3), st.none()), max_size=43)
+    content = st.one_of(
+        st.sampled_from([(3, 14), (4, 42)]).flatmap(lambda shape: st.lists(
+            st.sampled_from(["0", "0", "0", "1", "-1", "2"]), min_size=shape[1],
+            max_size=shape[1]).map(lambda c: json.dumps(
+                {"format": "ma-equation/1", "n": shape[0], "coords": c}))),
+        st.fixed_dictionaries({"format": st.sampled_from(["ma-equation/1", "other"]),
+                               "n": st.one_of(st.integers(1, 5), st.just("4"), st.just(3.5)),
+                               "coords": coords}).map(json.dumps),
+        st.text(max_size=30))
+    values = {
+        "--expr": expr, "--builtin": st.sampled_from(list(catalog.builtin_names()) + ["nope"]),
+        "--file": st.just(str(eq_file)), "--n": st.integers(1, 5).map(str),
+        "--seed": st.integers(0, 9).map(str), "--flip": numbers, "--k": numbers,
+        "--q": numbers, "--x1": expr, "--x2": expr, "--trials": st.integers(-1, 3).map(str),
+        "--mode": st.sampled_from(["strict", "mod-span", "loose"]),
+        "--builtin-pair": st.sampled_from(["husain", "hess", "second-heavenly"]),
+        "--save-eq": st.sampled_from([str(save_path), str(tmp_path), ""]),
+    }
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.sampled_from(sorted(accepts)), st.booleans(), content, st.data())
+    def check(command, as_json, text, data):
+        first = data.draw(st.sampled_from(["--expr", "--builtin", "--file", "--n"]))
+        read = st.lists(st.sampled_from(accepts[command]), max_size=3, unique=True)
+        anything = st.lists(st.sampled_from(sorted(values)), max_size=2)
+        flags = [first] + data.draw(read.map(lambda fs: [f for f in fs if f != first]) | anything)
+        argv = [command] + ["--json"] * as_json
+        argv += [f"{flag}={data.draw(values[flag], label=flag)}" for flag in flags]
+        eq_file.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        started = time.monotonic()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exited:  # argparse usage errors
+                code = exited.code
+        assert time.monotonic() - started < 10, argv
+        assert code in (0, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

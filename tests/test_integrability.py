@@ -1,5 +1,6 @@
 """Reductions, integrability verdicts, quartic-pair classification, fingerprints."""
 
+import json
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -20,7 +21,7 @@ from heavenly.grassmann import (
     uvar,
 )
 from heavenly.integrability import (
-    CASE_NAMES,
+    CASES,
     IDENTITY_VARS,
     Linearisability,
     QuarticPair,
@@ -253,7 +254,7 @@ def test_case_table(case):
     p, q = CASE_PAIRS[case]
     result = classify_quartic_pair(QuarticPair(p, q))
     assert result.case == case
-    assert result.name == CASE_NAMES[case]
+    assert result.name == CASES[case][0]
 
 
 def test_case8_harmonic_merge():
@@ -355,6 +356,20 @@ def test_identify_normal_forms_and_hess():
         assert fp.nondegenerate
     found, fp = identify_equation(catalog.hess_equation(4))
     assert found is None
+
+
+@pytest.mark.parametrize("case", sorted(CASE_PAIRS))
+def test_classify_routes_agree_on_every_base_pair(capsys, case):
+    # the case's verdict is the reduction identity's, and its normal-form
+    # name (none for cases 4, 7, 8 and 10) is the fingerprint's
+    from heavenly.cli import main
+
+    eq = QuarticPair(*CASE_PAIRS[case]).reconstruct()
+    assert main(["classify", f"--expr={eq.poly}", "--n", "4", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["quartic-pair"]["case"] == case
+    assert report["integrability"]["verdict"] == CASES[case][1].value
+    assert report["routes-agree"] is True
 
 
 def test_degenerate_cases_identify_as_unknown():
@@ -674,8 +689,15 @@ def test_degenerate_reductions_have_zero_quartic():
                 eqs.append(travelling_wave_reduce(eq, random_sample(rng), rng.choice(PERMUTATIONS)))
             except ZeroReduction:
                 pass
-    degenerate = [eq for eq in eqs
-                  if linearisable_3d(eq, seed=rng.randrange(100)) is Linearisability.DEGENERATE]
+
+    def degenerate_or_unsampled(eq, seed):
+        # a constant reduction has no point of {F = 0} to sample, and q = 0 too
+        try:
+            return linearisable_3d(eq, seed=seed) is Linearisability.DEGENERATE
+        except NoSamplePoint:
+            return True
+
+    degenerate = [eq for eq in eqs if degenerate_or_unsampled(eq, rng.randrange(100))]
     assert [str(eq) for eq in degenerate if freudenthal_quartic(eq.coords)] == []
     assert len(degenerate) >= 30
 

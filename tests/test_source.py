@@ -100,3 +100,37 @@ def test_every_definition_is_used_in_the_package_or_exported():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
              and node.name not in used]
     assert found == []
+
+
+def test_cli_main_maps_errors_to_exits_in_one_handler():
+    # the exit code and stderr label of a failure come from the error type
+    tree = ast.parse((PACKAGE_DIR / "cli.py").read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["HeavenlyError"]
+
+
+def test_every_library_error_exits_2_or_3():
+    # each HeavenlyError subclass, in any module, inherits or sets an
+    # exit_code of 2 (rejected or error) or 3 (inconclusive)
+    classes = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                codes = [stmt.value.value for stmt in node.body
+                         if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+                         and [ast.unparse(t) for t in stmt.targets] == ["exit_code"]]
+                classes[node.name] = ([ast.unparse(b) for b in node.bases], codes)
+
+    def lineage(name):
+        while name in classes:
+            yield name
+            bases, _ = classes[name]
+            name = bases[0] if bases else None
+
+    errors = {name: next((classes[c][1][0] for c in lineage(name) if classes[c][1]), None)
+              for name in classes if "HeavenlyError" in lineage(name)}
+    assert len(errors) > 15 and "CommandError" in errors
+    assert {name: code for name, code in errors.items() if code not in (2, 3)} == {}
+    assert errors["NoSamplePoint"] == 3

@@ -5,85 +5,51 @@ sections of the Plucker-embedded Lagrangian Grassmannian; this package
 mechanizes their classification: linearisability and integrability tests,
 stabilizer subalgebras, effective-form invariants, the quartic-pair normal
 form pipeline, and Lax-pair verification, all over exact rationals.
+
+Each exported name is imported from its module on first access (PEP 562),
+so `import heavenly` loads none of the pipeline.
 """
 
-from .grassmann import (
-    LagrangePoint,
-    MAEquation,
-    MinorBasis,
-    decompose,
-    equation_from_json,
-    equation_to_json,
-    meets_all_sublagrangians,
-    minor_basis,
-    osculating_containment,
-    partial_legendre,
-    plucker_eval,
-    singular_locus_quadratic,
-    translate,
-)
-from .integrability import (
-    Fingerprint,
-    Linearisability,
-    QuarticPair,
-    ReductionSample,
-    Verdict,
-    classify_quartic_pair,
-    ef_coordinates,
-    identify_equation,
-    integrable_4d,
-    linearisable_3d,
-    travelling_wave_reduce,
-)
-from .forms import ExteriorForm, b_omega_lambda, effective_lift, pullback_to_equation
-from .laxpair import LaxField, commutator, reduce_6d_lax, sample_on_variety, verify_lax
-from .liesp import LieSubalgebra, is_reductive, nondegenerate, symmetry_algebra
-from .parse import parse_equation, parse_lax_field
-from .quartic import BinaryQuartic, multiplicity_pattern, quartic_invariants
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryQuartic",
-    "ExteriorForm",
-    "Fingerprint",
-    "LagrangePoint",
-    "LaxField",
-    "LieSubalgebra",
-    "Linearisability",
-    "MAEquation",
-    "MinorBasis",
-    "QuarticPair",
-    "ReductionSample",
-    "Verdict",
-    "b_omega_lambda",
-    "classify_quartic_pair",
-    "commutator",
-    "decompose",
-    "ef_coordinates",
-    "effective_lift",
-    "equation_from_json",
-    "equation_to_json",
-    "identify_equation",
-    "integrable_4d",
-    "is_reductive",
-    "linearisable_3d",
-    "meets_all_sublagrangians",
-    "minor_basis",
-    "multiplicity_pattern",
-    "nondegenerate",
-    "osculating_containment",
-    "parse_equation",
-    "parse_lax_field",
-    "partial_legendre",
-    "plucker_eval",
-    "pullback_to_equation",
-    "quartic_invariants",
-    "reduce_6d_lax",
-    "sample_on_variety",
-    "singular_locus_quadratic",
-    "symmetry_algebra",
-    "translate",
-    "travelling_wave_reduce",
-    "verify_lax",
-]
+MIN_DIM, MAX_DIM = 2, 4  # the dimensions n the minor basis supports
+
+_EXPORTS = {  # exported name: the module that defines it
+    "LagrangePoint": "grassmann", "MAEquation": "grassmann", "MinorBasis": "grassmann",
+    "decompose": "grassmann", "equation_from_json": "grassmann",
+    "equation_to_json": "grassmann", "meets_all_sublagrangians": "grassmann",
+    "minor_basis": "grassmann", "osculating_containment": "grassmann",
+    "partial_legendre": "grassmann", "plucker_eval": "grassmann",
+    "singular_locus_quadratic": "grassmann", "translate": "grassmann",
+    "Fingerprint": "integrability", "Linearisability": "integrability",
+    "QuarticPair": "integrability", "ReductionSample": "integrability",
+    "Verdict": "integrability", "classify_quartic_pair": "integrability",
+    "ef_coordinates": "integrability", "identify_equation": "integrability",
+    "integrable_4d": "integrability", "linearisable_3d": "integrability",
+    "travelling_wave_reduce": "integrability",
+    "ExteriorForm": "forms", "b_omega_lambda": "forms", "effective_lift": "forms",
+    "pullback_to_equation": "forms",
+    "LaxField": "laxpair", "commutator": "laxpair", "reduce_6d_lax": "laxpair",
+    "sample_on_variety": "laxpair", "verify_lax": "laxpair",
+    "LieSubalgebra": "liesp", "is_reductive": "liesp", "nondegenerate": "liesp",
+    "symmetry_algebra": "liesp",
+    "parse_equation": "parse", "parse_lax_field": "parse",
+    "BinaryQuartic": "quartic", "multiplicity_pattern": "quartic",
+    "quartic_invariants": "quartic",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -6,6 +6,10 @@ and flags; `--json` switches to machine-readable output and `--timing`
 appends wall-clock timing (off by default to keep reports reproducible).
 A failure prints its `HeavenlyError`'s label on stderr and exits with its
 code: 2 for `rejected` input and other errors, 3 when `inconclusive`.
+
+Only the parser is built at import: each command imports the pipeline
+modules it runs when it runs, so `--help` or `basis-info` never loads the
+stabilizer, λ, integrability or Lax code.
 """
 
 from __future__ import annotations
@@ -15,21 +19,13 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from . import catalog
+from . import MAX_DIM, MIN_DIM
 from .errors import HeavenlyError, NotInEF
-from .forms import b_omega_lambda
-from .grassmann import (MAX_DIM, MIN_DIM, MAEquation, equation_from_json, equation_to_json,
-                        meets_all_sublagrangians, minor_basis, partial_legendre,
-                        singular_locus_quadratic)
-from .integrability import (ReductionSample, classify_quartic_pair, ef_coordinates,
-                            identify_equation, integrable_4d, linearisable_3d, routes_agree,
-                            travelling_wave_reduce)
-from .laxpair import catalog_pair, verify_lax
-from .liesp import symmetry_algebra
-from .parse import parse_equation, parse_lax_field
+
+if TYPE_CHECKING:
+    from .grassmann import MAEquation
 
 DEFAULT_SEED = 8128
 DEFAULT_LAX_TRIALS = 20
@@ -60,10 +56,14 @@ def _csv(text: str, kind, message: str) -> List:
 
 def _load_equation(args) -> MAEquation:
     if args.builtin:
+        from . import catalog
+
         try:
             return catalog.builtin_equation(args.builtin)
         except KeyError as err:
-            raise CommandError(str(err)) from None
+            raise CommandError(err.args[0]) from None
+    from .grassmann import equation_from_json
+
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             return equation_from_json(handle.read())
@@ -90,7 +90,11 @@ def resolve_equation(args) -> MAEquation:
     if n not in args.dims:
         accepted = " or ".join(map(str, args.dims))
         raise CommandError(f"{args.command} takes n = {accepted}, not n = {n}")
-    return parse_equation(args.expr, n) if args.expr else eq
+    if not args.expr:
+        return eq
+    from .parse import parse_equation
+
+    return parse_equation(args.expr, n)
 
 
 def render(report: Dict, as_json: bool) -> str:
@@ -119,6 +123,8 @@ def render(report: Dict, as_json: bool) -> str:
 
 
 def cmd_basis_info(args) -> Dict:
+    from .grassmann import minor_basis
+
     basis = minor_basis(args.n)
     return {
         "n": args.n,
@@ -129,6 +135,8 @@ def cmd_basis_info(args) -> Dict:
 
 
 def _identify(eq: MAEquation, seed: int):
+    from .integrability import identify_equation
+
     name, fp = identify_equation(eq, seed=seed)
     return name, {"equation": str(eq.poly), "name": name if name else "unknown",
                   "fingerprint": fp.as_dict()}
@@ -149,6 +157,8 @@ def cmd_classify(args) -> Dict:
     eq = resolve_equation(args)
     out = {"n": 3, **_linearisable(eq, args.seed)} if eq.n == 3 else _classify_4d(eq, args.seed)
     if path is not None:
+        from .grassmann import equation_to_json
+
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 handle.write(equation_to_json(eq))
@@ -159,6 +169,8 @@ def cmd_classify(args) -> Dict:
 
 
 def _classify_4d(eq: MAEquation, seed: int) -> Dict:
+    from .integrability import classify_quartic_pair, ef_coordinates, integrable_4d, routes_agree
+
     name, fields = _identify(eq, seed)
     report = integrable_4d(eq, seed=seed)
     out = {"n": 4, **fields, "integrability": report.as_dict(), "seed": seed}
@@ -185,11 +197,15 @@ def _classify_4d(eq: MAEquation, seed: int) -> Dict:
 
 
 def cmd_symmetry(args) -> Dict:
+    from .liesp import symmetry_algebra
+
     eq = resolve_equation(args)
     return {"equation": str(eq.poly), **symmetry_algebra(eq).describe()}
 
 
 def cmd_lambda(args) -> Dict:
+    from .forms import b_omega_lambda
+
     eq = resolve_equation(args)
     lambda_zero, matrix = b_omega_lambda(eq)
     return {
@@ -200,6 +216,8 @@ def cmd_lambda(args) -> Dict:
 
 
 def cmd_lax_check(args) -> Dict:
+    from .laxpair import catalog_pair, verify_lax
+
     if args.builtin_pair:
         given = [f"--{dest}" for dest in ("expr", "builtin", "file", "n", "x1", "x2")
                  if getattr(args, dest) is not None]
@@ -210,10 +228,14 @@ def cmd_lax_check(args) -> Dict:
             x1, x2, default_mode = catalog_pair(args.builtin_pair)
         except KeyError as err:
             raise CommandError(err.args[0]) from None
+        from . import catalog
+
         eq = catalog.builtin_equation(args.builtin_pair)
     else:
         if not (args.x1 and args.x2):
             raise CommandError("provide --builtin-pair or both --x1 and --x2")
+        from .parse import parse_lax_field
+
         eq = resolve_equation(args)
         x1, x2 = (parse_lax_field(x, eq.n) for x in (args.x1, args.x2))
         default_mode = "strict"
@@ -229,13 +251,17 @@ def cmd_lax_check(args) -> Dict:
 
 
 def cmd_reduce(args) -> Dict:
-    eq = resolve_equation(args)
+    from fractions import Fraction
+
     k = _csv(args.k or "0,0,0", Fraction, "--k needs three comma-separated rationals")
     if len(k) != 3:
         raise CommandError("--k needs three comma-separated rationals")
     q_entries = _csv(args.q, Fraction, "--q entries must be rationals") if args.q else []
     if q_entries and len(q_entries) != 10:
         raise CommandError("--q needs ten upper-triangle entries")
+    eq = resolve_equation(args)
+    from .integrability import ReductionSample, linearisable_3d, travelling_wave_reduce
+
     upper = iter(q_entries or [Fraction(0)] * 10)
     q = [[Fraction(0)] * 4 for _ in range(4)]
     for i in range(4):
@@ -254,12 +280,14 @@ def cmd_reduce(args) -> Dict:
 
 
 def cmd_legendre(args) -> Dict:
-    eq = resolve_equation(args)
     flip = _csv(args.flip, int, "--flip needs comma-separated indices") if args.flip else []
+    eq = resolve_equation(args)
     if any(i < 1 or i > eq.n for i in flip):
         raise CommandError(f"--flip indices must lie in 1..{eq.n}")
     if len(set(flip)) != len(flip):
         raise CommandError("--flip indices must be distinct")
+    from .grassmann import partial_legendre
+
     moved = partial_legendre(eq, flip)
     return {
         "equation": str(eq.poly),
@@ -269,6 +297,8 @@ def cmd_legendre(args) -> Dict:
 
 
 def cmd_singular(args) -> Dict:
+    from .grassmann import meets_all_sublagrangians, singular_locus_quadratic
+
     eq = resolve_equation(args)
     dim, kernel = singular_locus_quadratic(eq)
     out = {
@@ -282,6 +312,8 @@ def cmd_singular(args) -> Dict:
 
 
 def _linearisable(eq: MAEquation, seed: int) -> Dict:
+    from .integrability import linearisable_3d
+
     return {"equation": str(eq.poly), "linearisable": linearisable_3d(eq, seed=seed).value,
             "seed": seed}
 

@@ -34,12 +34,11 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import MAX_DIM, MIN_DIM
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
                      UnsupportedDimension)
 from .linalg import apply_table, mat_vec, over_common_denominator, rank_kernel, rref
 from .poly import Monomial, Polynomial, determinant, mono_order_key
-
-MIN_DIM, MAX_DIM = 2, 4
 
 
 def ucoord(i: int, j: int) -> str:

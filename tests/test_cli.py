@@ -172,6 +172,26 @@ def test_reduce_rejects_non_rational_entries(capsys, option, value):
     assert out == "" and option in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("legendre", "--flip", "x"), "--flip needs comma-separated indices"),
+    (("reduce", "--k", "1,x"), "--k needs three comma-separated rationals"),
+    (("reduce", "--k", "1,2"), "--k needs three comma-separated rationals"),
+    (("reduce", "--q", "1,x"), "--q entries must be rationals"),
+    (("reduce", "--q", "1,2"), "--q needs ten upper-triangle entries"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+def test_malformed_flags_are_rejected_before_the_equation_loads(capsys, monkeypatch, argv,
+                                                                message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("loaded the equation before checking the flag")
+
+    command, *flag = argv
+    for builtin in ("husain", "nope"):  # the flag error wins over a bad source too
+        with monkeypatch.context() as patch:
+            patch.setattr(catalog, "builtin_equation", unreachable)
+            code, out, err = run(capsys, command, "--builtin", builtin, *flag)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_file_with_zero_denominator_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
     coords = ["0"] * 41 + ["1/0"]
@@ -307,6 +327,12 @@ def test_missing_source_rejected(capsys):
 def test_unknown_builtin_lists_names(capsys):
     code, _, err = run(capsys, "identify", "--builtin", "nope")
     assert code == 2 and "husain" in err
+
+
+def test_unknown_builtin_message_is_not_quoted(capsys):
+    code, out, err = run(capsys, "identify", "--builtin", "nope")
+    assert code == 2 and out == ""
+    assert err.startswith("error: unknown builtin 'nope'; available: ")
 
 
 def test_reports_byte_identical(capsys):
@@ -455,7 +481,7 @@ def test_classify_checks_the_save_path_before_classifying(tmp_path, capsys, monk
     def unreachable(*args, **kwargs):
         raise AssertionError("classified before checking --save-eq")
 
-    monkeypatch.setattr(cli, "identify_equation", unreachable)
+    monkeypatch.setattr("heavenly.integrability.identify_equation", unreachable)
     path = {"directory": tmp_path, "missing-parent": tmp_path / "missing" / "eq.json",
             "read-only-parent": tmp_path / "eq.json"}[target]
     if target == "read-only-parent":  # root may write anywhere, so the check is faked

@@ -1,8 +1,11 @@
 """Source-level checks on the package."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import heavenly
 
@@ -83,10 +86,11 @@ def test_integrability_decision_is_unseeded():
 def test_every_definition_is_used_in_the_package_or_exported():
     # Test-only code lives under tests/: each module-level function and class
     # of the package is referenced somewhere in it (as a name, an attribute or
-    # an imported name) or exported by heavenly.__all__.
+    # an imported name), exported by heavenly.__all__, or a module hook that
+    # the interpreter calls (PEP 562).
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE_DIR.glob("*.py"))}
-    used = set(heavenly.__all__)
+    used = set(heavenly.__all__) | {"__getattr__", "__dir__"}
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
@@ -100,6 +104,26 @@ def test_every_definition_is_used_in_the_package_or_exported():
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
              and node.name not in used]
     assert found == []
+
+
+def test_every_export_resolves_to_its_defining_module():
+    # the package resolves its exports lazily from one name -> module table,
+    # whose literal lists exactly the names of __all__, each once
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"])
+    assert sorted(key.value for key in table.keys) == heavenly.__all__
+    for name, module in heavenly._EXPORTS.items():
+        defining = importlib.import_module(f"heavenly.{module}")
+        value = getattr(heavenly, name)
+        assert value is vars(defining)[name] and value.__module__ == defining.__name__, name
+        assert vars(heavenly)[name] is value  # bound on first access
+    assert set(heavenly.__all__) <= set(dir(heavenly))
+    namespace = {}
+    exec("from heavenly import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(heavenly.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        heavenly.nope
 
 
 def test_cli_main_maps_errors_to_exits_in_one_handler():

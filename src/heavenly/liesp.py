@@ -10,8 +10,8 @@ the generators are
     P_ij: B = -S_ij, quadratic flows U' = U S_ij U.
 
 Sending a matrix to its chart vector field reverses brackets, so the
-structure constants of the vector fields are those of the negated
-commutator -[M_p, M_q].
+bracket of the vector fields of M_p and M_q is the negated commutator
+-[M_p, M_q]; a subalgebra brackets its elements as such matrices.
 
 On the minor span the induced action is linear only after adding the
 projective cocycle phi (0 for X, -delta_ij for L_ij, -2 u_ij for P_ij).
@@ -58,10 +58,7 @@ def sp_generators(n: int) -> Tuple[SpGenerator, ...]:
 
 
 def _hamiltonian_matrix(n: int, g: SpGenerator) -> Dict[Tuple[int, int], int]:
-    """Nonzero entries of the 2n x 2n matrix [[A, B], [C, D]] of a generator.
-
-    The first entry lies in no other generator's support.
-    """
+    """Nonzero entries of the 2n x 2n matrix [[A, B], [C, D]] of a generator."""
     i, j = g.i - 1, g.j - 1
     out: Dict[Tuple[int, int], int] = {}
     if g.kind == "X":  # C = e_ij + e_ji, a single 1 on the diagonal
@@ -81,10 +78,10 @@ def action_matrices(n: int):
     return tuple(derivation_matrix(n, _hamiltonian_matrix(n, g)) for g in sp_generators(n))
 
 
-def _commutator(m: Dict[Tuple[int, int], int],
-                w: Dict[Tuple[int, int], int]) -> Dict[Tuple[int, int], int]:
+def _commutator(m: Dict[Tuple[int, int], Fraction],
+                w: Dict[Tuple[int, int], Fraction]) -> Dict[Tuple[int, int], Fraction]:
     """[M, W] = MW - WM of two sparse matrices."""
-    out: Dict[Tuple[int, int], int] = {}
+    out: Dict[Tuple[int, int], Fraction] = {}
     for (a, b), x in m.items():
         for (c, d), y in w.items():
             if b == c:
@@ -92,36 +89,6 @@ def _commutator(m: Dict[Tuple[int, int], int],
             if d == a:
                 out[c, b] = out.get((c, b), 0) - y * x
     return {k: v for k, v in out.items() if v}
-
-
-@lru_cache(maxsize=None)
-def sp_structure_constants(n: int):
-    """Sparse bracket table: table[p][q] = tuple of (index, coefficient).
-
-    The bracket is the negated commutator -[M_p, M_q] = [M_q, M_p]; the
-    coordinate of generator r is read off the first entry of M_r, and the
-    combination must rebuild the commutator exactly.
-    """
-    gens = sp_generators(n)
-    mats = [_hamiltonian_matrix(n, g) for g in gens]
-    firsts = [next(iter(m.items())) for m in mats]
-    table = []
-    for p, mp in enumerate(mats):
-        row = []
-        for q, mq in enumerate(mats):
-            bracket = _commutator(mq, mp)
-            coords = tuple((r, Fraction(bracket[key], val))
-                           for r, (key, val) in enumerate(firsts) if key in bracket)
-            rebuilt: Dict[Tuple[int, int], Fraction] = {}
-            for r, c in coords:
-                for key, val in mats[r].items():
-                    rebuilt[key] = rebuilt.get(key, 0) + c * val
-            if {k: v for k, v in rebuilt.items() if v} != bracket:
-                raise RuntimeError(f"[{gens[p].label}, {gens[q].label}] is not a "
-                                   "combination of the sp(2n) generator matrices")
-            row.append(coords)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 class LieSubalgebra:
@@ -158,22 +125,6 @@ class LieSubalgebra:
     @property
     def ambient_dim(self) -> int:
         return self.n * (2 * self.n + 1)
-
-    def bracket_sp(self, v: Sequence[Fraction], w: Sequence[Fraction]) -> List[Fraction]:
-        """Bracket of two coefficient vectors inside sp(2n)."""
-        table = sp_structure_constants(self.n)
-        g = self.ambient_dim
-        out = [Fraction(0)] * g
-        for p in range(g):
-            if not v[p]:
-                continue
-            for q in range(g):
-                if not w[q]:
-                    continue
-                c = v[p] * w[q]
-                for r, t in table[p][q]:
-                    out[r] += c * t
-        return out
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -218,38 +169,48 @@ def symmetry_algebra(eq: MAEquation) -> LieSubalgebra:
 def _subalgebra_structure(alg: LieSubalgebra):
     """Coordinates of every bracket of basis elements over the basis.
 
-    One echelon form of [basis | I] gives reduced rows R_i = sum_k T_ik B_k,
-    so a bracket w in the span has coordinates sum_i w[pivot_i] T_i; the
-    combination is rebuilt and compared with w, which is the closure check.
+    Basis vector v_k becomes its matrix B_k = sum_g v_kg M_g, and the bracket
+    of e_a and e_b is the commutator W = [B_b, B_a].  One echelon form of
+    [B | I] over the matrix entries gives reduced rows R_i = sum_k T_ik B_k,
+    so W has coordinates sum_i W[pivot_i] T_i.  The combination is rebuilt as
+    a matrix and compared with W, which checks closure in the span.  Each
+    unordered pair is bracketed once: c[b][a] = -c[a][b] and c[a][a] = 0.
     """
-    dim, g = alg.dim, alg.ambient_dim
+    dim = alg.dim
     if dim == 0:
         return ()
-    pivots, reduced = rref([list(v) + [Fraction(int(i == k)) for k in range(dim)]
-                            for i, v in enumerate(alg.basis)])
-    transform = [(c, [(k, x) for k, x in enumerate(row[g:]) if x])
-                 for c, row in zip(pivots, reduced) if c < g]
-    support = [[(p, x) for p, x in enumerate(v) if x] for v in alg.basis]
-    table = []
+    gens = [_hamiltonian_matrix(alg.n, g) for g in sp_generators(alg.n)]
+    mats = [_combine(zip(v, gens)) for v in alg.basis]
+    entries = sorted(set().union(*mats))
+    pivots, reduced = rref([[m.get(key, 0) for key in entries] + [int(i == k) for k in range(dim)]
+                            for i, m in enumerate(mats)])
+    transform = [(entries[c], [(k, x) for k, x in enumerate(row[len(entries):]) if x])
+                 for c, row in zip(pivots, reduced) if c < len(entries)]
+    zero = (Fraction(0),) * dim
+    table = [[zero] * dim for _ in range(dim)]
     for a in range(dim):
-        row = []
-        for b in range(dim):
-            br = alg.bracket_sp(alg.basis[a], alg.basis[b])
+        for b in range(a + 1, dim):
+            br = _commutator(mats[b], mats[a])
             coords = [Fraction(0)] * dim
-            for c, t in transform:
-                if br[c]:
+            for key, t in transform:
+                if key in br:
                     for k, x in t:
-                        coords[k] += br[c] * x
-            rebuilt = [Fraction(0)] * g
-            for k, ck in enumerate(coords):
-                if ck:
-                    for p, x in support[k]:
-                        rebuilt[p] += ck * x
-            if rebuilt != br:
+                        coords[k] += br[key] * x
+            if _combine(zip(coords, mats)) != br:
                 raise InvariantViolation("stabilizer is not closed under bracket")
-            row.append(tuple(coords))
-        table.append(tuple(row))
-    return tuple(table)
+            table[a][b] = tuple(coords)
+            table[b][a] = tuple(-x for x in coords)
+    return tuple(tuple(row) for row in table)
+
+
+def _combine(terms) -> Dict[Tuple[int, int], Fraction]:
+    """Nonzero entries of sum c * M over (c, M) pairs of sparse matrices."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for c, m in terms:
+        if c:
+            for key, x in m.items():
+                out[key] = out.get(key, 0) + c * x
+    return {k: v for k, v in out.items() if v}
 
 
 def killing_form(alg: LieSubalgebra) -> List[List[Fraction]]:

@@ -1,8 +1,14 @@
 """Shared fixtures: expected symmetry-algebra generators per normal form.
 
 Each generator is written in the X/L/P notation as a list of
-(coefficient, label) pairs.
+(coefficient, label) pairs.  `sp_table` reads the bracket table of the
+whole of sp(2n) from the package, for the tests that check it against
+the chart vector fields and the action matrices.
 """
+
+from functools import lru_cache
+
+from heavenly.liesp import LieSubalgebra
 
 EXPECTED_SYMMETRY_DIMS = {
     "linear-wave": 16,
@@ -133,3 +139,17 @@ LAPLACE_3D_GENERATORS = [
     [(1, "L23"), (-1, "L32")],
     [(1, "L11"), (1, "L22"), (1, "L33")],
 ]
+
+
+@lru_cache(maxsize=None)
+def sp_table(n):
+    """Sparse bracket table of sp(2n) over its generators:
+    table[p][q] = tuple of (r, c) with [e_p, e_q] = sum of c * e_r.
+
+    These are the structure constants of the subalgebra spanned by all
+    generators, so the table is in the package's vector-field orientation.
+    """
+    g = n * (2 * n + 1)
+    alg = LieSubalgebra(n, [[int(i == j) for j in range(g)] for i in range(g)])
+    return tuple(tuple(tuple((r, c) for r, c in enumerate(coords) if c) for coords in row)
+                 for row in alg.structure_constants)

@@ -15,6 +15,7 @@ from tables import (
     EXPECTED_SYMMETRY_DIMS,
     LAPLACE_3D_GENERATORS,
     PRINTED_GENERATORS,
+    sp_table,
     table_equation,
 )
 from vector_fields import chart_fields, invariance_eigenvalue
@@ -49,7 +50,6 @@ from heavenly.liesp import (
     action_matrices,
     is_reductive,
     sp_generators,
-    sp_structure_constants,
     symmetry_algebra,
 )
 from heavenly.quartic import BinaryQuartic, multiplicity_pattern, quartic_invariants
@@ -261,7 +261,7 @@ def test_criterion_11_property_suites():
                 assert twice.poly == eq.poly.monic()
     # bracket closure of the action matrices against the structure constants
     mats = [dense(m) for m in action_matrices(3)]
-    table = sp_structure_constants(3)
+    table = sp_table(3)
     for p, q in ((0, 8), (3, 14), (10, 20), (5, 17)):
         lhs = mats[p].mat_mul(mats[q])
         rhs = mats[q].mat_mul(mats[p])

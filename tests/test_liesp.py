@@ -12,6 +12,7 @@ from tables import (
     EXPECTED_SYMMETRY_DIMS,
     LAPLACE_3D_GENERATORS,
     PRINTED_GENERATORS,
+    sp_table,
     table_equation,
 )
 from vector_fields import chart_fields, invariance_eigenvalue
@@ -40,7 +41,6 @@ from heavenly.liesp import (
     radical,
     sample_zero_point,
     sp_generators,
-    sp_structure_constants,
     symbol_matrix,
     symmetry_algebra,
 )
@@ -149,7 +149,7 @@ def test_action_and_legendre_tables_hold_only_ints(n):
 def test_action_matrices_close_under_bracket():
     n = 3
     mats = [dense(m) for m in action_matrices(n)]
-    table = sp_structure_constants(n)
+    table = sp_table(n)
     rng = Random(4)
     pairs = [(rng.randrange(len(mats)), rng.randrange(len(mats))) for _ in range(12)]
     for p, q in pairs:
@@ -167,7 +167,7 @@ def test_action_matrices_close_under_bracket():
 
 def test_structure_constants_antisymmetry_and_jacobi():
     for n in (2, 3, 4):
-        table = sp_structure_constants(n)
+        table = sp_table(n)
         dim = len(table)
 
         def bracket_vec(p, q):
@@ -221,12 +221,23 @@ def test_laplace3_symmetry_generators():
 
 
 def test_symmetry_algebra_bracket_closed():
+    # each bracket taken in the whole of sp(8) lies in the stabilizer, with
+    # the coordinates the stabilizer's own structure constants give
     alg = symmetry_algebra(catalog.husain())
+    table = sp_table(alg.n)
     rows = [list(v) for v in alg.basis]
     for a in range(alg.dim):
         for b in range(a + 1, alg.dim):
-            br = alg.bracket_sp(alg.basis[a], alg.basis[b])
+            br = [Fraction(0)] * alg.ambient_dim
+            for p, x in enumerate(alg.basis[a]):
+                for q, y in enumerate(alg.basis[b]):
+                    if x and y:
+                        for r, c in table[p][q]:
+                            br[r] += x * y * c
             assert in_row_space(rows, br) is not None
+            coords = alg.structure_constants[a][b]
+            assert br == [sum((c * v[p] for c, v in zip(coords, alg.basis)), Fraction(0))
+                          for p in range(alg.ambient_dim)]
 
 
 def test_structure_constants_reject_non_closed_span():
@@ -358,13 +369,48 @@ def test_structure_bracket_matches_derivations():
     for n in (2, 3):
         gens = chart_fields(n)
         images = [dict(g.derivation) for g in gens]
-        table = sp_structure_constants(n)
+        table = sp_table(n)
         for p, q in product(range(len(gens)), repeat=2):
             for var in chart_vars(n):
                 lhs = (gens[p].apply(images[q].get(var, zero))
                        - gens[q].apply(images[p].get(var, zero)))
                 rhs = sum((c * images[r].get(var, zero) for r, c in table[p][q]), zero)
                 assert lhs == rhs, (gens[p].label, gens[q].label, var)
+
+
+def _seeded_3d_equations(count, seed):
+    rng = Random(seed)
+    return [MAEquation.from_coords(3, [Fraction(rng.randint(-3, 3))
+                                       for _ in range(minor_basis(3).dimension)])
+            for _ in range(count)]
+
+
+PROPER_3D = ("laplace", "kahler", "hess-3d", "hess-3d-elliptic")
+
+
+@pytest.mark.parametrize("eq", [catalog.builtin_equation(name) for name in PROPER_3D]
+                         + _seeded_3d_equations(3, 25),
+                         ids=list(PROPER_3D) + ["seeded-1", "seeded-2", "seeded-3"])
+def test_subalgebra_bracket_matches_derivations(eq):
+    # on a basis that is not the generators: sum_k c[a][b][k] V(B_k) is the
+    # field bracket V(B_a) V(B_b) - V(B_b) V(B_a) on every chart variable,
+    # with V(v) = sum_g v_g V_g built from the hand-written chart fields
+    zero = Polynomial.zero()
+    alg = symmetry_algebra(eq)
+    assert alg.dim > 0 and alg.dim < alg.ambient_dim
+    gens = chart_fields(alg.n)
+
+    def field(v, poly):
+        return sum((c * g.apply(poly) for c, g in zip(v, gens) if c), zero)
+
+    names = chart_vars(alg.n)
+    images = [{var: field(v, Polynomial.variable(var)) for var in names} for v in alg.basis]
+    c = alg.structure_constants
+    for a, b in product(range(alg.dim), repeat=2):
+        for var in names:
+            lhs = field(alg.basis[a], images[b][var]) - field(alg.basis[b], images[a][var])
+            rhs = sum((x * images[k][var] for k, x in enumerate(c[a][b]) if x), zero)
+            assert lhs == rhs, (a, b, var)
 
 
 def test_symmetry_algebra_invariant_under_equation_scaling():
@@ -395,3 +441,36 @@ def test_subalgebra_invariants_computed_once(monkeypatch):
     assert is_reductive(alg) is False
     assert sorted(calls) == ["center", "derived_subalgebra"]
     assert first["center-dimension"] == len(center(alg))
+
+
+# (dimension, center dimension, derived dimension, reductive) of each stabilizer
+DESCRIBE_PINS = {
+    "first-heavenly": (13, 0, 12, False), "general-heavenly": (12, 0, 12, True),
+    "hess": (15, 0, 15, True), "hess-3d": (8, 0, 8, True),
+    "hess-3d-elliptic": (8, 0, 8, True), "hess-3d-hyperbolic": (8, 0, 8, True),
+    "husain": (12, 0, 12, False), "kahler": (9, 0, 8, False),
+    "laplace": (9, 0, 8, False), "laplace-4d": (16, 0, 15, False),
+    "linear-wave": (16, 0, 15, False), "modified-heavenly": (13, 0, 12, False),
+    "second-heavenly": (14, 0, 13, False),
+}
+
+
+@pytest.mark.parametrize("name", catalog.builtin_names())
+def test_describe_pins_every_builtin(name):
+    report = symmetry_algebra(catalog.builtin_equation(name)).describe()
+    assert (report["dimension"], report["center-dimension"], report["derived-dimension"],
+            report["reductive"]) == DESCRIBE_PINS[name]
+
+
+def test_structure_constants_bracket_each_unordered_pair_once(monkeypatch):
+    from heavenly import liesp
+
+    calls = []
+    original = liesp._commutator
+    monkeypatch.setattr(liesp, "_commutator", lambda m, w: calls.append(1) or original(m, w))
+    stabilizer = symmetry_algebra(catalog.husain())
+    alg = LieSubalgebra(stabilizer.n, stabilizer.basis, stabilizer.eigenvalues)
+    first = alg.describe()
+    assert len(calls) == 12 * 11 // 2
+    assert alg.describe() == first
+    assert len(calls) == 66

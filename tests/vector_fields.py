@@ -6,7 +6,8 @@ independently of `liesp._hamiltonian_matrix`: X_ij translates, L_ij is the
 linear flow U' = e_ij U + U e_ji and P_ij the quadratic flow U' = U S_ij U.
 Adding the projective cocycle phi makes the action linear on the minor span,
 so decomposing the corrected images cross-checks `action_matrices`, and the
-brackets of the fields cross-check `sp_structure_constants`.
+brackets of the fields cross-check the structure constants of
+`LieSubalgebra`, on the whole of sp(2n) and on proper stabilizers.
 """
 
 from dataclasses import dataclass

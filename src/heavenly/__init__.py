@@ -3,7 +3,7 @@
 Equations F(u_ij) = 0 built from minors of the Hessian are hyperplane
 sections of the Plucker-embedded Lagrangian Grassmannian; this package
 mechanizes their classification: linearisability and integrability tests,
-stabilizer subalgebras, effective-form invariants, the quartic-pair normal
+stabilizer subalgebras, the lambda invariant, the quartic-pair normal
 form pipeline, and Lax-pair verification, all over exact rationals.
 
 Each exported name is imported from its module on first access (PEP 562),
@@ -29,12 +29,10 @@ _EXPORTS = {  # exported name: the module that defines it
     "ef_coordinates": "integrability", "identify_equation": "integrability",
     "integrable_4d": "integrability", "linearisable_3d": "integrability",
     "travelling_wave_reduce": "integrability",
-    "ExteriorForm": "forms", "b_omega_lambda": "forms", "effective_lift": "forms",
-    "pullback_to_equation": "forms",
     "LaxField": "laxpair", "commutator": "laxpair", "reduce_6d_lax": "laxpair",
     "sample_on_variety": "laxpair", "verify_lax": "laxpair",
-    "LieSubalgebra": "liesp", "is_reductive": "liesp", "nondegenerate": "liesp",
-    "symmetry_algebra": "liesp",
+    "LieSubalgebra": "liesp", "b_omega_lambda": "liesp", "is_reductive": "liesp",
+    "nondegenerate": "liesp", "symmetry_algebra": "liesp",
     "parse_equation": "parse", "parse_lax_field": "parse",
     "BinaryQuartic": "quartic", "multiplicity_pattern": "quartic",
     "quartic_invariants": "quartic",

@@ -204,7 +204,7 @@ def cmd_symmetry(args) -> Dict:
 
 
 def cmd_lambda(args) -> Dict:
-    from .forms import b_omega_lambda
+    from .liesp import b_omega_lambda
 
     eq = resolve_equation(args)
     lambda_zero, matrix = b_omega_lambda(eq)

@@ -43,14 +43,6 @@ class ZeroPolynomial(HeavenlyError):
     pass
 
 
-class ZeroPullback(RejectedInput):
-    pass
-
-
-class ProportionalityViolation(HeavenlyError):
-    pass
-
-
 class NoSamplePoint(HeavenlyError):
     """No point of {F = 0} was found to sample, so no verdict is given."""
 

@@ -27,12 +27,11 @@ flips (`legendre_matrix`), translations and travelling-wave reductions
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import MAX_DIM, MIN_DIM
 from .errors import (DegenerateChart, InvariantViolation, NotInSpan, NotPurelyQuadratic,
@@ -63,8 +62,7 @@ def minor_poly(rows: Sequence[int], cols: Sequence[int]) -> Polynomial:
     return determinant([[uvar(i, j) for j in cols] for i in rows])
 
 
-@dataclass(frozen=True)
-class MinorBasis:
+class MinorBasis(NamedTuple):
     """Canonical (reduced-echelon) basis of the minor span for dimension n.
 
     `pivots[k]` is the leading monomial of basis polynomial k: it has
@@ -169,8 +167,7 @@ def combine(coords: Sequence, basis: MinorBasis) -> Polynomial:
     return Polynomial(terms)
 
 
-@dataclass(frozen=True)
-class MAEquation:
+class MAEquation(NamedTuple):
     """A symplectic Monge-Ampere equation F(u_ij) = 0 in dimension n."""
 
     n: int
@@ -214,8 +211,7 @@ class MAEquation:
         return f"{self.poly} = 0  (n={self.n})"
 
 
-@dataclass(frozen=True)
-class LagrangePoint:
+class LagrangePoint(NamedTuple):
     """A point of the Grassmannian in the affine chart, as its symmetric matrix."""
 
     n: int
@@ -280,10 +276,15 @@ def permutation_sign(seq: Sequence[int]) -> int:
     return (-1) ** sum(1 for a, b in combinations(seq, 2) if a > b)
 
 
+@lru_cache(maxsize=None)
+def _minor_index(n: int) -> Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int]:
+    return {pair: m for m, pair in enumerate(_minor_pairs(n))}
+
+
 def _signed_minor(n: int, rows: Sequence[int], cols: Sequence[int]) -> Tuple[int, int]:
     """(raw minor m, sign) with det V[rows, cols] = sign * minor m, V symmetric."""
     r, c = tuple(sorted(rows)), tuple(sorted(cols))
-    return (_minor_pairs(n).index((min(r, c), max(r, c))),
+    return (_minor_index(n)[min(r, c), max(r, c)],
             permutation_sign(rows) * permutation_sign(cols))
 
 
@@ -329,12 +330,18 @@ def _minor_maps(n: int):
 
 def _on_basis(n: int, table):
     """Canonical-coordinate column table of the raw-minor map `table`:
-    column k is basis k's minor combination, mapped, written over the basis."""
+    column k is basis k's minor combination, mapped, written over the basis,
+    composed entry by entry through the three sparse tables."""
     combos, over_basis = _minor_maps(n)
-    size, dim = len(table), len(combos)
-    columns = [apply_table(apply_table(apply_table([1], [c], size), table, size), over_basis, dim)
-               for c in combos]
-    return tuple(tuple((k, x, 0) for k, x in enumerate(column) if x) for column in columns)
+    columns = []
+    for combo in combos:
+        column: Dict[int, int] = {}
+        for m, a, _ in combo:
+            for j, b, _ in table[m]:
+                for k, c, _ in over_basis[j]:
+                    column[k] = column.get(k, 0) + a * b * c
+        columns.append(tuple((k, x, 0) for k, x in sorted(column.items()) if x))
+    return tuple(columns)
 
 
 def derivation_matrix(n: int, matrix: Dict[Tuple[int, int], int]):

@@ -15,15 +15,13 @@ ten-dimensional space of doubly-tangent quadratic equations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NotInEF, ZeroReduction
-from .forms import b_omega_lambda
 from .grassmann import (
     LagrangePoint,
     MAEquation,
@@ -35,14 +33,13 @@ from .grassmann import (
     meets_all_sublagrangians,
     uvar,
 )
-from .liesp import is_reductive, nondegenerate, symmetry_algebra
+from .liesp import b_omega_lambda, is_reductive, nondegenerate, symmetry_algebra
 from .linalg import clear_row, in_row_space
 from .poly import Polynomial
 from .quartic import BinaryQuartic, is_harmonic, multiplicity_pattern, quartic_invariants
 
 
-@dataclass(frozen=True)
-class ReductionSample:
+class ReductionSample(NamedTuple):
     """Direction (alpha, beta, gamma) and quadratic shift for one reduction."""
 
     k: Tuple[Fraction, Fraction, Fraction]
@@ -195,17 +192,23 @@ class Verdict(Enum):
     DEGENERATE = "degenerate"
 
 
-@dataclass
 class IntegrabilityReport:
-    verdict: Verdict
-    failing_sample: Optional[dict] = None
-    nondegenerate: bool = True
-    symmetry_dim: Optional[int] = None
-    quadratic_flip: Optional[Tuple[int, ...]] = None
-    singular_dim: Optional[int] = None
-    meets_all: Optional[bool] = None
-    osculating_flip: Optional[Tuple[int, ...]] = None
-    notes: List[str] = field(default_factory=list)
+    """The verdict of `integrable_4d` and the evidence it gathered, filled
+    in as the decision runs."""
+
+    __slots__ = ("verdict", "failing_sample", "nondegenerate", "symmetry_dim", "quadratic_flip",
+                 "singular_dim", "meets_all", "osculating_flip", "notes")
+
+    def __init__(self, verdict: Verdict):
+        self.verdict = verdict
+        self.failing_sample: Optional[dict] = None
+        self.nondegenerate = True
+        self.symmetry_dim: Optional[int] = None
+        self.quadratic_flip: Optional[Tuple[int, ...]] = None
+        self.singular_dim: Optional[int] = None
+        self.meets_all: Optional[bool] = None
+        self.osculating_flip: Optional[Tuple[int, ...]] = None
+        self.notes: List[str] = []
 
     def as_dict(self) -> dict:
         out = {"verdict": self.verdict.value, "nondegenerate": self.nondegenerate}
@@ -428,8 +431,7 @@ def ef_basis() -> Tuple[Tuple[Polynomial, ...], Tuple[Polynomial, ...]]:
     return e, f
 
 
-@dataclass(frozen=True)
-class QuarticPair:
+class QuarticPair(NamedTuple):
     """Quartics (p, q) describing a vector of the tangent pencil as p - q."""
 
     p: BinaryQuartic
@@ -503,8 +505,7 @@ _CASE_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     case: Optional[int]
     name: str
     pattern_p: Optional[Tuple[int, ...]]
@@ -558,8 +559,7 @@ def classify_quartic_pair(pair: QuarticPair) -> Classification:
 # -- fingerprints ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     symmetry_dim: int
     lambda_zero: bool
     reductive: Optional[bool]

@@ -10,10 +10,9 @@ the span of the two fields there (all 3x3 minors vanish).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import JetOrderError
 from .grassmann import MAEquation, ucoord
@@ -47,8 +46,7 @@ def total_derivative(poly: Polynomial, direction: int) -> Polynomial:
     return out
 
 
-@dataclass(frozen=True)
-class LaxField:
+class LaxField(NamedTuple):
     """Vector field sum_i component_i * d_i with jet coefficients."""
 
     components: Tuple[Polynomial, ...]
@@ -133,8 +131,7 @@ def _evaluate_keep_lambda(poly: Polynomial, values: Dict[str, Fraction]) -> Poly
     return poly.subs({var: values[var] for var in poly.variables() if var != LAMBDA})
 
 
-@dataclass
-class LaxVerification:
+class LaxVerification(NamedTuple):
     passed: bool
     mode: str
     trials: int

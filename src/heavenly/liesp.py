@@ -21,23 +21,29 @@ p_S -> sum over r in S and j of M[r][j] p_(S with r replaced by j).  Its
 p_top term is phi, so g(m) + phi_g * m is this derivation of m: linear in
 the minors, with no polynomial arithmetic.  An equation F is stabilized
 projectively iff A_v c = mu c for its coordinate vector c.
+
+For even n the same tables fix the lambda invariant: the pairing of an
+equation's effective exterior lift is lambda * Omega, and lambda = c^T G c
+for the sp(2n)-invariant quadric G on canonical coordinates, which has a
+closed form on the raw minors (`_invariant_quadric`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import factorial
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvariantViolation, NoSamplePoint
-from .grassmann import MAEquation, chart_vars, derivation_matrix, ucoord
-from .linalg import apply_table, clear_row, rank_kernel, row_space_basis, rref
+from .grassmann import (MAEquation, _minor_index, _minor_maps, _minor_pairs, chart_vars,
+                        derivation_matrix, ucoord)
+from .linalg import (apply_table, clear_row, over_common_denominator, rank_kernel,
+                     row_space_basis, rref)
 from .poly import signed_sum
 
 
-@dataclass(frozen=True)
-class SpGenerator:
+class SpGenerator(NamedTuple):
     """One infinitesimal generator, named by its kind and indices;
     `_hamiltonian_matrix` gives its matrix."""
 
@@ -76,6 +82,107 @@ def action_matrices(n: int):
     """Each generator's exterior-power derivation on canonical coordinates,
     as an integer column table."""
     return tuple(derivation_matrix(n, _hamiltonian_matrix(n, g)) for g in sp_generators(n))
+
+
+@lru_cache(maxsize=None)
+def _invariant_quadric(n: int):
+    """The sp(2n)-invariant quadratic form G on canonical coordinates, for
+    even n, as an integer column table over one denominator d:
+    lambda = c^T G c / d.
+
+    G is built in closed form (`_complementary_pairing`) and checked
+    exactly: rho^T G + G rho = 0 for every generator table rho of
+    `action_matrices`, that is, G rho is antisymmetric, G being symmetric.
+    """
+    table, d = _complementary_pairing(n)
+    for rho in action_matrices(n):
+        g_rho: Dict[Tuple[int, int], int] = {}
+        for j, column in enumerate(rho):
+            for m, x, _ in column:
+                for i, g, _ in table[m]:
+                    g_rho[i, j] = g_rho.get((i, j), 0) + g * x
+        if any(x + g_rho.get((j, i), 0) for (i, j), x in g_rho.items()):
+            raise InvariantViolation(f"the invariant quadric of n={n} is not invariant")
+    return table, d
+
+
+def _complementary_pairing(n: int):
+    """G of `_invariant_quadric`, unchecked.
+
+    On the raw minors the form pairs each minor (R, C) with its complement
+    (R', C'), with weight 1/(2 n!) when R = C and 1/(4 n!) otherwise and sign
+    (-1)^(n/2 + 1) (-1)^(|R| + sum R + sum C); `weight` is 4 n! times it.  G
+    is its pullback along the basis elements' minor combinations, restricted
+    to the complement, orthogonal under it, of the raw minors' relation: the
+    basis reproduces every raw minor but those of the relation, so C O - I
+    (C the minor combinations, O the over-basis map) is a multiple of the
+    relation r in each nonzero column.  At n = 4 r is
+    U[12;34] - U[13;24] + U[14;23]; at n = 2 there is none.
+    """
+    pairs, index = _minor_pairs(n), _minor_index(n)
+    combos, over_basis = _minor_maps(n)
+    full = range(1, n + 1)
+    weight, partner = [], []  # raw minor m pairs with partner[m], weighted
+    for rows, cols in pairs:
+        rest = tuple(tuple(i for i in full if i not in s) for s in (rows, cols))
+        partner.append(index[min(rest), max(rest)])
+        sign = (-1) ** (n // 2 + 1 + len(rows) + sum(rows) + sum(cols))
+        weight.append(sign * (2 if rows == cols else 1))
+    users: List[List[Tuple[int, int]]] = [[] for _ in pairs]  # raw minor: (basis k, coeff)
+    for k, combo in enumerate(combos):
+        for m, a, _ in combo:
+            users[m].append((k, a))
+
+    def paired(raw: Dict[int, int]) -> Dict[int, int]:
+        """The form of the raw vector with each basis element."""
+        out: Dict[int, int] = {}
+        for m, x in raw.items():
+            for k, a in users[partner[m]]:
+                out[k] = out.get(k, 0) + weight[m] * x * a
+        return out
+
+    relation: Dict[int, int] = {}
+    for m, column in enumerate(over_basis):
+        back = {m: -1}
+        for k, x, _ in column:
+            for j, a, _ in combos[k]:
+                back[j] = back.get(j, 0) + x * a
+        relation = {j: x for j, x in back.items() if x}
+        if relation:
+            break
+    g = [paired({m: a for m, a, _ in combo}) for combo in combos]
+    d = 4 * factorial(n)
+    if relation:  # G - (G r)(G r)^T / (r^T G r), over the denominator times r^T G r
+        gr = paired(relation)
+        norm = sum(weight[m] * x * relation.get(partner[m], 0) for m, x in relation.items())
+        g = [{j: norm * row.get(j, 0) - gr.get(i, 0) * gr.get(j, 0) for j in range(len(g))}
+             for i, row in enumerate(g)]
+        d *= norm
+    sign = -1 if d < 0 else 1
+    return (tuple(tuple((j, sign * x, 0) for j, x in sorted(row.items()) if x) for row in g),
+            sign * d)
+
+
+def symplectic_matrix(n: int) -> List[List[Fraction]]:
+    """Omega(e_a, e_b): 1 on (i, n + i), -1 on (n + i, i) and 0 elsewhere."""
+    return [[Fraction((b == a + n) - (a == b + n)) for b in range(2 * n)]
+            for a in range(2 * n)]
+
+
+def b_omega_lambda(eq: MAEquation) -> Tuple[bool, List[List[Fraction]]]:
+    """(lambda == 0, the pairing matrix lambda * Omega), lambda = c^T G c.
+
+    The pairing (X, Y) -> (i_X w ^ i_Y w ^ Omega) / Omega^n of the effective
+    lift w is sp(2n)-invariant and quadratic in the coordinates c, so it is
+    lambda * Omega with lambda the invariant quadric of `_invariant_quadric`.
+    """
+    if eq.n % 2:
+        raise ValueError("the proportionality invariant needs even n")
+    table, d = _invariant_quadric(eq.n)
+    coords, den = over_common_denominator(eq.coords)
+    image = apply_table(coords, table, len(coords))
+    lam = Fraction(sum(x * y for x, y in zip(coords, image)), d * den * den)
+    return not lam, [[lam * x for x in row] for row in symplectic_matrix(eq.n)]
 
 
 def _commutator(m: Dict[Tuple[int, int], Fraction],

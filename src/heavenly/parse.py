@@ -9,10 +9,9 @@ inside rational literals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log10
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import ParseError
 from .grassmann import MAEquation, hessian_matrix, ucoord
@@ -28,8 +27,7 @@ MAX_DIGITS = 1000
 MAX_DEGREE = 1000
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # NUMBER, IDENT, OP, LPAREN, RPAREN, END
     text: str
     position: int

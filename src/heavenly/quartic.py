@@ -13,16 +13,14 @@ harmonic (cross-ratio -1) configuration of four distinct roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .errors import InvariantViolation, ZeroPolynomial
 from .poly import signed_sum
 
 
-@dataclass(frozen=True)
-class BinaryQuartic:
+class BinaryQuartic(NamedTuple):
     a0: Fraction
     a1: Fraction
     a2: Fraction

@@ -9,6 +9,7 @@ from fractions import Fraction
 from random import Random
 
 from dense import dense
+from exterior import pullback_to_equation, symplectic_form
 from pencil import sl2_transform, tangency_points
 from tables import (
     EXPECTED_LAMBDA_ZERO,
@@ -19,9 +20,9 @@ from tables import (
     table_equation,
 )
 from vector_fields import chart_fields, invariance_eigenvalue
+from wedged import wedge_b_matrix, wedge_lift
 
 from heavenly import catalog
-from heavenly.forms import b_omega_lambda, effective_lift, pullback_to_equation, symplectic_form
 from heavenly.grassmann import (
     MAEquation,
     chart_vars,
@@ -48,6 +49,7 @@ from heavenly.laxpair import LaxField, catalog_pair, verify_lax
 from heavenly.linalg import rank_kernel
 from heavenly.liesp import (
     action_matrices,
+    b_omega_lambda,
     is_reductive,
     sp_generators,
     symmetry_algebra,
@@ -289,13 +291,13 @@ def test_criterion_11_property_suites():
         moved = sl2_transform(p, a, b, c, d)
         assert multiplicity_pattern(moved) == base_pattern
         assert quartic_invariants(moved) == base_inv
-    # effectiveness of lifts and skewness/proportionality of the pairing
+    # effectiveness of lifts, and the wedge pairing is lambda * Omega
     omega = symplectic_form(4)
     for name in catalog.NORMAL_FORMS:
         eq = catalog.builtin_equation(name)
-        lift = effective_lift(eq)
+        lift = wedge_lift(eq)
         assert lift.wedge(omega).is_zero()
         assert pullback_to_equation(lift, basis).coords == eq.coords
-        b_omega_lambda(eq)  # raises ProportionalityViolation on failure
+        assert b_omega_lambda(eq)[1] == wedge_b_matrix(eq)
     announce(11, "module property suites: span preservation, Legendre involution, "
                  "bracket closure, SL(2) invariance, effective lifts, pairing shape")

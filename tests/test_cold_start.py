@@ -1,6 +1,6 @@
-"""Which package modules a fresh interpreter loads: the package and its
-command line import no pipeline module, and a command imports only the
-pipeline it runs."""
+"""Which modules a fresh interpreter loads: the package and its command line
+import no pipeline module, a command imports only the pipeline it runs, and
+no command loads `heavenly.forms`, the alias module that nothing imports."""
 
 import ast
 import os
@@ -52,9 +52,9 @@ COMMANDS = [  # a command that exits 0, and the modules it must not load
     (["--help"], NOT_PARSER),
     (["basis-info", "--n", "4"], NOT_PARSER),
     (["symmetry", "--n", "3", "--expr", "u11+u22+u33"], {"forms", "laxpair"}),
-    (["lambda", "--builtin", "husain"], {"integrability", "laxpair"}),
-    (["legendre", "--builtin", "husain", "--flip", "1,2"], {"integrability", "laxpair"}),
-    (["classify", "--builtin", "husain"], {"laxpair"}),
+    (["lambda", "--builtin", "husain"], {"forms", "integrability", "laxpair"}),
+    (["legendre", "--builtin", "husain", "--flip", "1,2"], {"forms", "integrability", "laxpair"}),
+    (["classify", "--builtin", "husain"], {"forms", "laxpair"}),
 ]
 
 
@@ -63,3 +63,11 @@ def test_a_command_loads_only_the_pipeline_it_runs(argv, absent):
     modules, printed = loaded_modules(RUN_MAIN.format(argv=argv))
     assert printed == ["0"]
     assert modules & absent == set()
+
+
+def test_a_cold_4d_classify_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples and slotted classes: importing
+    # dataclasses pulls in inspect, which a cold command would pay for
+    code = RUN_MAIN.format(argv=["classify", "--builtin", "husain"])
+    _, printed = loaded_modules(code + 'print(sorted({"dataclasses", "inspect"} & set(sys.modules)))')
+    assert printed == ["0", "[]"]

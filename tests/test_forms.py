@@ -1,26 +1,26 @@
-"""Exterior algebra, pullback/lift correspondence, lambda invariant."""
+"""Exterior algebra, pullback/lift correspondence, and the lambda invariant:
+the invariant quadric of `heavenly.liesp` against the wedge pairing."""
 
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from tables import EXPECTED_LAMBDA_ZERO
-from wedged import wedge_b_matrix, wedge_lift
-
-from heavenly import catalog
-from heavenly.errors import ZeroPullback
-from heavenly.forms import (
-    b_omega_lambda,
-    b_omega_matrix,
-    effective_lift,
+from exterior import (
+    ExteriorForm,
     monomial_form,
     pullback_polynomial,
     pullback_to_equation,
     symplectic_form,
     volume_normalizer,
 )
+from tables import EXPECTED_LAMBDA_ZERO
+from wedged import polarized_quadric, wedge_b_matrix, wedge_lift
+
+from heavenly import catalog
+from heavenly.errors import InvariantViolation
 from heavenly.grassmann import MAEquation, minor_basis, uvar
+from heavenly.liesp import _invariant_quadric, b_omega_lambda, symplectic_matrix
 
 
 def test_wedge_anticommutes():
@@ -83,7 +83,7 @@ def test_pullback_degree_check():
 
 def test_pullback_zero():
     # Omega itself is a 2-form; for n=2 its pullback vanishes (u12 - u21)
-    with pytest.raises(ZeroPullback):
+    with pytest.raises(ValueError, match="nonzero"):
         pullback_to_equation(symplectic_form(2), minor_basis(2))
 
 
@@ -100,14 +100,14 @@ def test_pullback_linear():
 def test_effective_lift_round_trip():
     for name in catalog.NORMAL_FORMS:
         eq = catalog.builtin_equation(name)
-        w = effective_lift(eq)
+        w = wedge_lift(eq)
         assert pullback_to_equation(w, eq.basis).coords == eq.coords
         assert w.wedge(symplectic_form(4)).is_zero()
 
 
 def test_effective_lift_round_trip_n3():
     eq = catalog.hess_equation(3)
-    w = effective_lift(eq)
+    w = wedge_lift(eq)
     assert w.wedge(symplectic_form(3)).is_zero()
     assert pullback_to_equation(w, eq.basis).coords == eq.coords
 
@@ -122,6 +122,7 @@ def test_lambda_values(name):
 def test_b_matrix_skew_and_scaling():
     eq = catalog.first_heavenly()
     _, b = b_omega_lambda(eq)
+    assert b == wedge_b_matrix(eq)
     for i in range(8):
         for j in range(8):
             assert b[i][j] == -b[j][i]
@@ -135,15 +136,13 @@ def test_b_matrix_skew_and_scaling():
 
 def test_b_matrix_symmetric_for_odd_n():
     eq = catalog.hess_equation(3)
-    b = b_omega_matrix(eq)
+    b = wedge_b_matrix(eq)
     for i in range(6):
         for j in range(6):
             assert b[i][j] == b[j][i]
 
 
 def test_symplectic_matrix_is_omega_on_basis_vectors():
-    from heavenly.forms import symplectic_matrix
-
     for n in (2, 3, 4):
         omega = symplectic_form(n)
         assert symplectic_matrix(n) == [[omega.interior(a).interior(b).scalar()
@@ -177,8 +176,6 @@ def determinant_pullback(w):
 def test_pullback_matches_determinant_reference(n):
     from itertools import combinations
 
-    from heavenly.forms import ExteriorForm
-
     rng = Random(60 + n)
     keys = list(combinations(range(2 * n), n))
     forms = [monomial_form(n, key, rng.choice([-3, -1, 1, 2])) for key in keys]
@@ -207,38 +204,90 @@ def lambda_test_equations():
 
 
 def test_lift_and_pairing_match_wedge_reference():
+    # the wedge lift is effective and pulls back to the equation; at even n
+    # the pairing is lambda * Omega with lambda = c^T G c, entry by entry
     for eq in lambda_test_equations():
-        lift = effective_lift(eq)
-        assert lift == wedge_lift(eq), str(eq)
+        lift = wedge_lift(eq)
+        assert lift.wedge(symplectic_form(eq.n)).is_zero()
         assert pullback_to_equation(lift, eq.basis).coords == eq.coords
-        b = b_omega_matrix(eq)
+        if eq.n % 2:
+            with pytest.raises(ValueError, match="even n"):
+                b_omega_lambda(eq)
+            continue
+        lambda_zero, b = b_omega_lambda(eq)
         assert b == wedge_b_matrix(eq), str(eq)
+        assert lambda_zero == (b[0][eq.n] == 0)
         assert all(type(x) is Fraction for row in b for x in row)
 
 
-def test_lift_table_checks_its_inverse(monkeypatch):
-    from heavenly import forms
-    from heavenly.errors import InvariantViolation
+def quadric_matrix(n):
+    """G of `_invariant_quadric` as a dense matrix of Fractions."""
+    table, d = _invariant_quadric(n)
+    out = [[Fraction(0)] * len(table) for _ in table]
+    for i, column in enumerate(table):
+        for j, x, _ in column:
+            out[j][i] = Fraction(x, d)
+    return out
 
-    eliminate = forms.rref
 
-    def off_by_one(rows):
-        pivots, reduced = eliminate(rows)
-        reduced[0][-1] += 1
-        return pivots, reduced
+@pytest.mark.parametrize("n", [2, 4])
+def test_invariant_quadric_is_the_polarized_wedge_pairing(n):
+    g = quadric_matrix(n)
+    assert g == polarized_quadric(n)
+    entries = {(i, j): x for i, row in enumerate(g) for j, x in enumerate(row) if x and i <= j}
+    assert len(entries) == {2: 3, 4: 23}[n]
+    if n == 4:
+        # the block on U[13;24] and U[12;34] = U[13;24] - U[14;23] is
+        # -(x^2 + xy + y^2)/144; every other basis element pairs with its
+        # complementary minor alone
+        assert [entries[k] for k in ((20, 20), (20, 22), (22, 22))] == [
+            Fraction(-1, 144), Fraction(-1, 288), Fraction(-1, 144)]
+        assert entries[0, 41] == Fraction(-1, 48)
 
-    monkeypatch.setattr(forms, "rref", off_by_one)
-    forms._lift_table.cache_clear()
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_quadric_lambda_matches_the_wedge_oracle(n):
+    rng = Random(90 + n)
+    size = minor_basis(n).dimension
+    g = quadric_matrix(n)
+    for _ in range(15):
+        coords = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) * (rng.random() < 0.4)
+                  for _ in range(size)]
+        coords[rng.randrange(size)] = Fraction(rng.randint(1, 6))
+        eq = MAEquation.from_coords(n, coords)
+        lam = sum(x * g[i][j] * y for i, x in enumerate(coords) for j, y in enumerate(coords))
+        assert wedge_b_matrix(eq)[0][n] == lam
+        assert b_omega_lambda(eq) == (lam == 0, [[lam * x for x in row]
+                                                   for row in symplectic_matrix(n)])
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (20, 22), (41, 0), (5, 36)],
+                         ids=lambda entry: "G[%d][%d]" % entry)
+def test_invariant_quadric_checks_its_invariance(monkeypatch, entry):
+    # one corrupted entry of G fails the build's exact invariance check
+    from heavenly import liesp
+
+    build = liesp._complementary_pairing
+
+    def corrupted(n):
+        table, d = build(n)
+        i, j = entry
+        column = dict((m, x) for m, x, _ in table[j])
+        column[i] = column.get(i, 0) + 1
+        return (table[:j] + (tuple((m, x, 0) for m, x in sorted(column.items())),)
+                + table[j + 1:], d)
+
+    monkeypatch.setattr(liesp, "_complementary_pairing", corrupted)
+    liesp._invariant_quadric.cache_clear()
     try:
-        with pytest.raises(InvariantViolation):
-            forms._lift_table(3)
+        with pytest.raises(InvariantViolation, match="not invariant"):
+            liesp._invariant_quadric(4)
     finally:
-        forms._lift_table.cache_clear()
+        liesp._invariant_quadric.cache_clear()
 
 
 def test_warm_lambda_makes_no_wedge_and_no_solve(monkeypatch):
-    from heavenly import forms, linalg
-    from heavenly.forms import ExteriorForm
+    from heavenly import linalg, liesp
 
     b_omega_lambda(catalog.husain())  # builds the n = 4 tables
     calls = []
@@ -250,8 +299,8 @@ def test_warm_lambda_makes_no_wedge_and_no_solve(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(ExteriorForm, "wedge", counting("wedge", ExteriorForm.wedge))
-    for module in (forms, linalg):  # wherever a solve may be bound
-        for name in ("solve_linear", "rref"):
+    for module in (liesp, linalg):  # wherever a solve may be bound
+        for name in ("solve_linear", "rref", "rank_kernel"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     for name in catalog.NORMAL_FORMS:

@@ -1,6 +1,5 @@
 """sp(2n) action, symmetry algebras, reductivity, non-degeneracy."""
 
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -82,7 +81,7 @@ def test_generators_are_records_that_build_no_polynomial(monkeypatch):
     monkeypatch.setattr(poly, "_raw", lambda terms: built.append("raw") or raw(terms))
     gens = sp_generators.__wrapped__(4)
     assert built == []
-    assert [f.name for f in fields(gens[0])] == ["label", "kind", "i", "j"]
+    assert type(gens[0])._fields == ("label", "kind", "i", "j")
 
 
 def test_chart_fields_follow_the_generator_order():
@@ -144,6 +143,29 @@ def test_action_and_legendre_tables_hold_only_ints(n):
         assert len(table) == dim
         for column in table:
             assert all(type(c) is int and 0 <= m < dim and q == 0 for m, c, q in column)
+
+
+TABLE_SHA256 = {  # n: (action_matrices(n), the Legendre flips in subset order)
+    2: ("6b5c2210e4f7318e957e04f975e82b6f0f062dfae5ea935bde1e5680c13c8243",
+        "cb9996c8b233d118e21cd2332dee983d86027da669be22213429d6b98f18ab30"),
+    3: ("37ef2af5bdcf3d390e5bbbb9201c7ab380fcf4534c2aab4f61591d625b471e7d",
+        "49b96bc195d802c306d2fbaedef99934d050dec97732db90c70ab4d77be4c39b"),
+    4: ("3e08fcd7b90b44fc5fd769adea89efe307f82991ebd206f67f884e21e8261fd6",
+        "16077d96502de0e5d15f475fecee8fe8cc2309994e03d96e04599c2d7ffee819"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_action_and_legendre_tables_are_pinned(n):
+    # the exact column tables, entry order included, do not move when their
+    # build changes
+    from hashlib import sha256
+
+    flips = [frozenset(s) for size in range(1, n + 1)
+             for s in combinations(range(1, n + 1), size)]
+    digests = (sha256(repr(action_matrices(n)).encode()).hexdigest(),
+               sha256(repr([legendre_matrix(n, s) for s in flips]).encode()).hexdigest())
+    assert digests == TABLE_SHA256[n]
 
 
 def test_action_matrices_close_under_bracket():
